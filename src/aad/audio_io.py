@@ -35,7 +35,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int
-    source_path: str | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
@@ -139,7 +138,7 @@ def load_wav(path) -> AudioClip:
     if not np.all(np.isfinite(mono)):
         raise CorruptHeaderError(f"{path}: non-finite samples in data chunk")
     mono = np.clip(mono, -1.0, 1.0)
-    return AudioClip(samples=mono, sample_rate=int(sample_rate), source_path=str(path))
+    return AudioClip(samples=mono, sample_rate=int(sample_rate))
 
 
 def save_wav(clip: AudioClip, path, encoding: str = "pcm16") -> None:
@@ -182,7 +181,7 @@ def rms_normalize(clip: AudioClip, target_rms: float) -> RmsNormalizeResult:
     scaled = clip.samples * gain
     clipped = int(np.sum(np.abs(scaled) > 1.0))
     scaled = np.clip(scaled, -1.0, 1.0)
-    out = AudioClip(samples=scaled, sample_rate=clip.sample_rate, source_path=clip.source_path)
+    out = AudioClip(samples=scaled, sample_rate=clip.sample_rate)
     return RmsNormalizeResult(clip=out, gain=gain, clipped=clipped, silent=False)
 
 

@@ -23,7 +23,6 @@ DEFAULT_GRID = tuple(range(5, 100, 5))  # 5, 10, ..., 95
 class ThresholdCandidate:
     percentile: float
     threshold: float
-    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,6 @@ class CalibrationResult:
     percentile: float
     f1: float
     sweep: tuple[SweepRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "percentile": self.percentile,
-            "f1": self.f1,
-            "sweep": [vars(r) for r in self.sweep],
-        }
 
 
 def percentile(values, p: float) -> float:
@@ -68,13 +59,13 @@ def percentile(values, p: float) -> float:
     return float(s[lo] + frac * (s[hi] - s[lo]))
 
 
-def sweep_thresholds(scores, grid=DEFAULT_GRID, source: str = "") -> list[ThresholdCandidate]:
+def sweep_thresholds(scores, grid=DEFAULT_GRID) -> list[ThresholdCandidate]:
     """One candidate per grid percentile of the validation scores."""
     s = np.asarray(scores, dtype=float).ravel()
     if s.size == 0:
         raise EmptyInputError("cannot sweep thresholds over empty scores")
     return [
-        ThresholdCandidate(percentile=float(p), threshold=percentile(s, float(p)), source=source)
+        ThresholdCandidate(percentile=float(p), threshold=percentile(s, float(p)))
         for p in sorted(grid)
     ]
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import features as feat
 from .audio_io import AudioClip, load_wav, save_wav
 from .calibration import default_candidate, select_by_f1, sweep_thresholds
-from .config import ManifestRecord, RunConfig, load_config, load_manifest, write_manifest
+from .config import SPLITS, ManifestRecord, RunConfig, load_config, load_manifest, write_manifest
 from .detector_api import restore
 from .errors import IoFailureError, ManifestError, PipelineError
 from .kmeans import KMeansDetector
@@ -79,18 +79,6 @@ def _build_detector(kind: str, cfg: RunConfig):
         raise ValueError(f"unknown detector kind {kind!r}")
     det.config_digest = cfg.digest()
     return det
-
-
-def _frames_from_wav(wav_path, cfg: RunConfig) -> feat.FrameTensor:
-    clip = load_wav(wav_path)
-    return feat.frame_pipeline(
-        clip,
-        n_fft=cfg.n_fft, hop_length=cfg.hop_length, n_mels=cfg.n_mels,
-        fmin=cfg.fmin, fmax=cfg.fmax,
-        time_per_frame=cfg.time_per_frame, hop_ratio=cfg.hop_ratio,
-        target_rms=cfg.target_rms, denoise=cfg.denoise,
-        denoise_percentile=cfg.denoise_percentile, denoise_margin_db=cfg.denoise_margin_db,
-    )
 
 
 # --- small text formats ---------------------------------------------------
@@ -170,71 +158,117 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 42
-    mode = args.mode
 
     frame_size, hop_size = feat.default_framing(
         SAMPLE_RATE, cfg.hop_length, cfg.time_per_frame, cfg.hop_ratio
     )
     align_s = hop_size * cfg.hop_length / SAMPLE_RATE
 
-    if mode == "knocks":
+    if args.mode == "knocks":
         normal_s = args.normal_s if args.normal_s is not None else 780.0
         anomalous_s = args.anomalous_s if args.anomalous_s is not None else 210.0
+        total_s = normal_s + anomalous_s
         train_s = normal_s * args.train_frac
-        val_s = normal_s - train_s
         calib_s = anomalous_s * args.calib_frac
         durations = {
-            "train": train_s, "val": val_s, "calib": calib_s, "test": anomalous_s - calib_s,
+            "train": train_s, "val": normal_s - train_s, "calib": calib_s, "test": anomalous_s - calib_s,
         }
-        with _stage("synth"):
-            full = gen_normal(normal_s + anomalous_s, SAMPLE_RATE, seed)
-            clips = {}
-            offset = 0.0
-            for split in ("train", "val", "calib", "test"):
-                piece = _slice_clip(full, offset, offset + durations[split])
-                offset += durations[split]
-                if split in ("calib", "test"):
-                    labeled = inject_knocks(
-                        piece, args.rate, seed + (13 if split == "calib" else 14), align_s=align_s
-                    )
-                    clips[split] = (labeled.clip, labeled.intervals)
-                else:
-                    clips[split] = (piece, None)
+        injectors = {
+            "calib": lambda piece: inject_knocks(piece, args.rate, seed + 13, align_s=align_s),
+            "test": lambda piece: inject_knocks(piece, args.rate, seed + 14, align_s=align_s),
+        }
     else:  # rare
-        normal_s = args.normal_s if args.normal_s is not None else 1200.0
+        total_s = normal_s = args.normal_s if args.normal_s is not None else 1200.0
         durations = {
             "train": 0.7 * normal_s, "val": 0.1 * normal_s,
             "calib": 0.1 * normal_s, "test": 0.1 * normal_s,
         }
-        with _stage("synth"):
-            full = gen_normal(normal_s, SAMPLE_RATE, seed)
-            clips = {}
-            offset = 0.0
-            for split in ("train", "val", "calib", "test"):
-                piece = _slice_clip(full, offset, offset + durations[split])
-                offset += durations[split]
-                if split == "test":
-                    labeled = inject_transient(
-                        piece, duration_s=args.transient_s, seed=seed + 14, align_s=align_s
-                    )
-                    clips[split] = (labeled.clip, labeled.intervals)
-                else:
-                    clips[split] = (piece, None)
+        injectors = {
+            "test": lambda piece: inject_transient(
+                piece, duration_s=args.transient_s, seed=seed + 14, align_s=align_s
+            ),
+        }
 
     rows = []
-    for split in ("train", "val", "calib", "test"):
-        clip, intervals = clips[split]
-        wav_name = f"{split}.wav"
-        save_wav(clip, out / wav_name)
-        labels_name = None
-        if intervals is not None:
-            labels_name = f"{split}.labels"
-            write_intervals(out / labels_name, intervals)
-        rows.append((wav_name, split, labels_name))
+    with _stage("synth"):
+        full = gen_normal(total_s, SAMPLE_RATE, seed)
+        offset = 0.0
+        for split in SPLITS:
+            clip = _slice_clip(full, offset, offset + durations[split])
+            offset += durations[split]
+            labels_name = None
+            if split in injectors:
+                labeled = injectors[split](clip)
+                clip, labels_name = labeled.clip, f"{split}.labels"
+                write_intervals(out / labels_name, labeled.intervals)
+            save_wav(clip, out / f"{split}.wav")
+            rows.append((f"{split}.wav", split, labels_name))
     write_manifest(out / "manifest.tsv", rows)
     cfg.write(out / "config.txt")
     print(f"wrote {out / 'manifest.tsv'}")
     return 0
+
+
+# --- stage functions: the single-stage commands and bench both call these ----
+
+def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, int, np.ndarray | None]:
+    """Write <out>/<stem>.frames, plus <stem>.framelabels when an interval file is given.
+
+    Returns the archive path, its frame count and the frame labels (None without labels).
+    """
+    stem = Path(wav).stem
+    frames = feat.frame_pipeline(
+        load_wav(wav),
+        n_fft=cfg.n_fft, hop_length=cfg.hop_length, n_mels=cfg.n_mels,
+        fmin=cfg.fmin, fmax=cfg.fmax,
+        time_per_frame=cfg.time_per_frame, hop_ratio=cfg.hop_ratio,
+        target_rms=cfg.target_rms, denoise=cfg.denoise,
+        denoise_percentile=cfg.denoise_percentile, denoise_margin_db=cfg.denoise_margin_db,
+    )
+    path = Path(out) / f"{stem}.frames"
+    feat.save_frames(frames, path)
+    vector = None
+    if labels:
+        vector = frame_labels(read_intervals(labels), frames)
+        write_vector(Path(out) / f"{stem}.framelabels", vector, fmt="%d")
+    return path, frames.num_frames, vector
+
+
+def train_detector(kind: str, cfg: RunConfig, frames: feat.FrameTensor, path):
+    """Fit one detector, record its wall-clock fit time and persist it to path."""
+    detector = _build_detector(kind, cfg)
+    _, detector.train_time_s = timed(lambda: detector.fit(frames))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    detector.persist(path)
+    return detector
+
+
+def calibrate_detector(detector, cfg: RunConfig, val_frames, calib_frames, calib_labels, path) -> float:
+    """Threshold from validation-score percentiles, written as a calibration report.
+
+    With calib labels the candidate with the best calib F1 wins; without them
+    the highest-percentile candidate does.
+    """
+    candidates = sweep_thresholds(detector.score(val_frames).scores, grid=cfg.grid())
+    if calib_labels is not None:
+        result = select_by_f1(detector.score(calib_frames).scores, calib_labels, candidates)
+        write_calibration_report(path, "f1", result.threshold, result.percentile, result.f1, result.sweep)
+        return result.threshold
+    cand = default_candidate(candidates)
+    write_calibration_report(path, "default", cand.threshold, cand.percentile, None, candidates)
+    return cand.threshold
+
+
+def evaluate(method: str, labels, scores, threshold: float,
+             train_time_s: float = 0.0, inference_time_s: float = 0.0) -> EvalReport:
+    """One report row: thresholded confusion counts, P/R/F1 and ROC AUC."""
+    cm = confusion(labels, (scores > threshold).astype(int))
+    p, r, f1 = precision_recall_f1(cm)
+    return EvalReport(
+        method=method, train_time_s=train_time_s, inference_time_s=inference_time_s,
+        roc_auc=roc_auc(labels, scores), precision=p, recall=r, f1=f1,
+        confusion=cm, threshold=threshold,
+    )
 
 
 # --- single-stage commands --------------------------------------------------
@@ -243,27 +277,17 @@ def cmd_features(args) -> int:
     cfg = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.wav).stem
     with _stage("features"):
-        frames = _frames_from_wav(args.wav, cfg)
-        feat.save_frames(frames, out / f"{stem}.frames")
-        if args.labels:
-            labels = frame_labels(read_intervals(args.labels), frames)
-            write_vector(out / f"{stem}.framelabels", labels, fmt="%d")
-    print(f"wrote {out / (stem + '.frames')} ({frames.num_frames} frames)")
+        path, num_frames, _ = write_features(args.wav, args.labels, out, cfg)
+    print(f"wrote {path} ({num_frames} frames)")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     with _stage("train"):
-        frames = feat.load_frames(args.frames)
-        detector = _build_detector(args.detector, cfg)
-        _, train_time = timed(lambda: detector.fit(frames))
-        detector.train_time_s = train_time
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        detector.persist(args.out)
-    print(f"trained {args.detector} in {train_time:.3f} s -> {args.out}")
+        detector = train_detector(args.detector, cfg, feat.load_frames(args.frames), args.out)
+    print(f"trained {args.detector} in {detector.train_time_s:.3f} s -> {args.out}")
     return 0
 
 
@@ -282,21 +306,11 @@ def cmd_calibrate(args) -> int:
     with _stage("calibrate"):
         detector = restore(args.model)
         val_frames = feat.load_frames(args.val_frames)
-        val_scores = detector.score(val_frames).scores
-        candidates = sweep_thresholds(val_scores, grid=cfg.grid(), source=detector.kind)
+        calib_frames = calib_labels = None
         if args.calib_frames and args.calib_labels:
             calib_frames = feat.load_frames(args.calib_frames)
-            calib_scores = detector.score(calib_frames).scores
-            labels = frame_labels(read_intervals(args.calib_labels), calib_frames)
-            result = select_by_f1(calib_scores, labels, candidates)
-            write_calibration_report(
-                args.out, "f1", result.threshold, result.percentile, result.f1, result.sweep
-            )
-            threshold = result.threshold
-        else:
-            cand = default_candidate(candidates)
-            write_calibration_report(args.out, "default", cand.threshold, cand.percentile, None, candidates)
-            threshold = cand.threshold
+            calib_labels = frame_labels(read_intervals(args.calib_labels), calib_frames)
+        threshold = calibrate_detector(detector, cfg, val_frames, calib_frames, calib_labels, args.out)
     print(f"threshold {threshold:.6g} -> {args.out}")
     return 0
 
@@ -308,16 +322,10 @@ def cmd_eval(args) -> int:
         scores = read_vector(args.scores)
         labels = read_vector(args.labels).astype(int)
         threshold = args.threshold if args.threshold is not None else read_calibration_threshold(args.calibration)
-        preds = (scores > threshold).astype(int)
-        cm = confusion(labels, preds)
-        p, r, f1 = precision_recall_f1(cm)
-        auc = roc_auc(labels, scores)
-        report = EvalReport(
-            method=args.method, train_time_s=0.0, inference_time_s=0.0,
-            roc_auc=auc, precision=p, recall=r, f1=f1, confusion=cm, threshold=threshold,
-        )
+        report = evaluate(args.method, labels, scores, threshold)
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    print(f"roc_auc {auc:.4f} precision {p:.4f} recall {r:.4f} f1 {f1:.4f}")
+    print(f"roc_auc {report.roc_auc:.4f} precision {report.precision:.4f} "
+          f"recall {report.recall:.4f} f1 {report.f1:.4f}")
     return 0
 
 
@@ -355,26 +363,19 @@ def _split_records(records: list[ManifestRecord]) -> dict[str, list[ManifestReco
 
 
 def _features_for(records: list[ManifestRecord], out_dir: Path, cfg: RunConfig):
-    """Persist per-record frame archives, reload them, and stack the split.
+    """Write each record's frame archive, reload it, and stack the split.
 
     Going through the on-disk archives keeps bench numerically identical to
-    chaining the single-stage commands on the same intermediates.
+    chaining the single-stage commands on the same intermediates. The
+    stacked labels are None when no record in the split has a labels file.
     """
     frames_list = []
     labels_list = []
     for rec in records:
-        stem = rec.wav.stem
-        frames_path = out_dir / f"{stem}.frames"
-        frames = _frames_from_wav(rec.wav, cfg)
-        feat.save_frames(frames, frames_path)
-        frames = feat.load_frames(frames_path)
+        path, _, labels = write_features(rec.wav, rec.labels, out_dir, cfg)
+        frames = feat.load_frames(path)
         frames_list.append(frames)
-        if rec.labels is not None:
-            labels = frame_labels(read_intervals(rec.labels), frames)
-            write_vector(out_dir / f"{stem}.framelabels", labels, fmt="%d")
-            labels_list.append(labels)
-        else:
-            labels_list.append(np.zeros(frames.num_frames, dtype=int))
+        labels_list.append(labels if labels is not None else np.zeros(frames.num_frames, dtype=int))
     if len(frames_list) == 1:
         stacked = frames_list[0]
     else:
@@ -392,7 +393,8 @@ def _features_for(records: list[ManifestRecord], out_dir: Path, cfg: RunConfig):
             sample_rate=first.sample_rate,
             hop_length=first.hop_length,
         )
-    return stacked, np.concatenate(labels_list)
+    labeled = any(rec.labels is not None for rec in records)
+    return stacked, np.concatenate(labels_list) if labeled else None
 
 
 def _format_report_table(rows: list[EvalReport]) -> str:
@@ -422,8 +424,7 @@ def cmd_bench(args) -> int:
     cfg = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = load_manifest(args.manifest)
-    by_split = _split_records(records)
+    by_split = _split_records(load_manifest(args.manifest))
 
     with _stage("features"):
         train_frames, _ = _features_for(by_split["train"], out, cfg)
@@ -433,51 +434,21 @@ def cmd_bench(args) -> int:
             calib_frames, calib_labels = _features_for(by_split["calib"], out, cfg)
         test_frames, test_labels = _features_for(by_split["test"], out, cfg)
 
-    calib_labeled = (
-        calib_frames is not None
-        and any(rec.labels is not None for rec in by_split.get("calib", []))
-    )
-
     reports = []
     for kind in DETECTOR_KINDS:
-        detector = _build_detector(kind, cfg)
         with _stage(f"train[{kind}]"):
-            _, train_time = timed(lambda: detector.fit(train_frames))
-            detector.train_time_s = train_time
-            detector.persist(out / f"{kind}.model")
-
+            detector = train_detector(kind, cfg, train_frames, out / f"{kind}.model")
         with _stage(f"calibrate[{kind}]"):
-            val_scores = detector.score(val_frames).scores
-            candidates = sweep_thresholds(val_scores, grid=cfg.grid(), source=kind)
-            if calib_labeled:
-                calib_scores = detector.score(calib_frames).scores
-                result = select_by_f1(calib_scores, calib_labels, candidates)
-                threshold = result.threshold
-                write_calibration_report(
-                    out / f"{kind}.calibration", "f1",
-                    result.threshold, result.percentile, result.f1, result.sweep,
-                )
-            else:
-                cand = default_candidate(candidates)
-                threshold = cand.threshold
-                write_calibration_report(
-                    out / f"{kind}.calibration", "default",
-                    cand.threshold, cand.percentile, None, candidates,
-                )
-
+            threshold = calibrate_detector(
+                detector, cfg, val_frames, calib_frames, calib_labels, out / f"{kind}.calibration"
+            )
         with _stage(f"score[{kind}]"):
             series, infer_time = timed(lambda: detector.score(test_frames))
             write_vector(out / f"{kind}.scores", series.scores)
-
         with _stage(f"eval[{kind}]"):
-            preds = (series.scores > threshold).astype(int)
-            cm = confusion(test_labels, preds)
-            p, r, f1 = precision_recall_f1(cm)
-            auc = roc_auc(test_labels, series.scores)
-        reports.append(EvalReport(
-            method=kind, train_time_s=train_time, inference_time_s=infer_time,
-            roc_auc=auc, precision=p, recall=r, f1=f1, confusion=cm, threshold=threshold,
-        ))
+            reports.append(evaluate(
+                kind, test_labels, series.scores, threshold, detector.train_time_s, infer_time
+            ))
 
     write_vector(out / "test.framelabels.all", test_labels, fmt="%d")
     payload = {

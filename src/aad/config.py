@@ -100,18 +100,8 @@ def _coerce(name: str, text: str, field_type):
 
 def load_config(path) -> RunConfig:
     """Parse a key = value config file; unknown keys are errors."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    types = {
-        "n_fft": int, "hop_length": int, "n_mels": int, "fmin": float, "fmax": float,
-        "time_per_frame": float, "hop_ratio": float, "target_rms": float,
-        "denoise": bool, "denoise_percentile": float, "denoise_margin_db": float,
-        "pooling": str, "standardize": bool,
-        "kmeans_k": int, "kmeans_max_iter": int, "kmeans_tol": float,
-        "ocsvm_nu": float, "ocsvm_gamma": float, "ocsvm_tol": float,
-        "ocsvm_max_passes": int, "ocsvm_cache_rows": int,
-        "lstm_hidden": int, "lstm_epochs": int, "lstm_batch": int, "lstm_lr": float,
-        "grid_lo": int, "grid_hi": int, "grid_step": int, "seed": int,
-    }
+    # fmax, target_rms and ocsvm_gamma have default types that _coerce special-cases
+    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -121,7 +111,7 @@ def load_config(path) -> RunConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _coerce(key, value, types[key])

@@ -23,6 +23,7 @@ from .features import FrameTensor
 
 MODEL_MAGIC = b"AADMODEL"
 MODEL_VERSION = 1
+_HEADER_LEN = len(MODEL_MAGIC) + 4 + 8 + 32  # magic, version, kind tag, config digest
 
 POOL_FLATTEN = "flatten"
 POOL_MEAN_TIME = "mean_pool_time"
@@ -57,17 +58,7 @@ class Standardizer:
 @dataclass(frozen=True)
 class FeatureMatrix:
     rows: np.ndarray            # [num_frames x d]
-    pooling: str
-    standardization: Standardizer | None
     origin_columns: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -95,29 +86,12 @@ def pool_frames(frames: FrameTensor, pooling: str) -> np.ndarray:
     raise ValueError(f"unknown pooling {pooling!r}")
 
 
-def vectorize(
-    frames: FrameTensor,
-    pooling: str = POOL_FLATTEN,
-    fit_standardizer: bool = False,
-    standardizer: Standardizer | None = None,
-) -> FeatureMatrix:
-    """One-shot vectorization: pool each frame, then standardize.
-
-    With fit_standardizer, per-dimension statistics come from these rows;
-    otherwise previously fitted statistics must be supplied.
-    """
-    rows = pool_frames(frames, pooling)
-    if fit_standardizer:
-        standardizer = Standardizer.fit(rows)
-        rows = standardizer.apply(rows)
-    elif standardizer is not None:
-        rows = standardizer.apply(rows)
-    else:
-        raise StandardizerMissingError("no fitted statistics to apply (pass fit_standardizer=True first)")
-    return FeatureMatrix(
-        rows=rows, pooling=pooling, standardization=standardizer,
-        origin_columns=frames.origin_columns,
-    )
+def _as_rows(X) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and frame origins of a FeatureMatrix; a bare array gets origins 0..n-1."""
+    if isinstance(X, FeatureMatrix):
+        return X.rows, X.origin_columns
+    rows = np.asarray(X, dtype=np.float64)
+    return rows, np.arange(rows.shape[0], dtype=np.int64)
 
 
 class Vectorizer:
@@ -139,12 +113,7 @@ class Vectorizer:
         if self.standardize:
             self.standardizer = Standardizer.fit(rows)
             rows = self.standardizer.apply(rows)
-        return FeatureMatrix(
-            rows=rows,
-            pooling=self.pooling,
-            standardization=self.standardizer,
-            origin_columns=frames.origin_columns,
-        )
+        return FeatureMatrix(rows=rows, origin_columns=frames.origin_columns)
 
     def transform(self, frames: FrameTensor) -> FeatureMatrix:
         rows = pool_frames(frames, self.pooling)
@@ -152,12 +121,7 @@ class Vectorizer:
             if self.standardizer is None:
                 raise StandardizerMissingError("transform before fit: no stored statistics")
             rows = self.standardizer.apply(rows)
-        return FeatureMatrix(
-            rows=rows,
-            pooling=self.pooling,
-            standardization=self.standardizer,
-            origin_columns=frames.origin_columns,
-        )
+        return FeatureMatrix(rows=rows, origin_columns=frames.origin_columns)
 
 
 class Detector:
@@ -254,23 +218,29 @@ def persist(detector: Detector, path) -> None:
     Path(path).write_bytes(header + w.payload())
 
 
-def read_model_header(path) -> tuple[str, int, bytes]:
-    """Kind tag, format version and config digest without loading parameters."""
-    raw = Path(path).read_bytes()
-    header_len = len(MODEL_MAGIC) + 4 + 8 + 32
-    if len(raw) < header_len or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+def _parse_header(raw: bytes, path) -> tuple[str, int, bytes]:
+    if len(raw) < _HEADER_LEN or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise CorruptModelFileError(f"{path}: not a model file")
     (version,) = struct.unpack_from("<I", raw, len(MODEL_MAGIC))
-    kind = raw[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 12].rstrip(b"\x00").decode("ascii")
-    digest = raw[len(MODEL_MAGIC) + 12 : header_len]
+    try:
+        kind = raw[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 12].rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptModelFileError(f"{path}: kind tag is not ASCII") from exc
+    digest = raw[len(MODEL_MAGIC) + 12 : _HEADER_LEN]
     return kind, version, digest
+
+
+def read_model_header(path) -> tuple[str, int, bytes]:
+    """Kind tag, format version and config digest without loading parameters."""
+    return _parse_header(Path(path).read_bytes(), path)
 
 
 def restore(path) -> Detector:
     """Load any persisted detector; scores reproduce the original bit-exactly."""
     from . import kmeans, lstm_ae, ocsvm  # deferred: those modules import this one
 
-    kind, version, digest = read_model_header(path)
+    raw = Path(path).read_bytes()
+    kind, version, digest = _parse_header(raw, path)
     if version > MODEL_VERSION:
         raise VersionMismatchError(f"{path}: model version {version} > supported {MODEL_VERSION}")
     loaders = {
@@ -280,9 +250,7 @@ def restore(path) -> Detector:
     }
     if kind not in loaders:
         raise CorruptModelFileError(f"{path}: unknown detector kind {kind!r}")
-    raw = Path(path).read_bytes()
-    header_len = len(MODEL_MAGIC) + 4 + 8 + 32
-    reader = _Reader(raw[header_len:], path)
+    reader = _Reader(raw[_HEADER_LEN:], path)
     detector = loaders[kind](reader)
     reader.done()
     detector.config_digest = digest

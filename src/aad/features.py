@@ -46,7 +46,6 @@ class StftMatrix:
     n_fft: int
     hop_length: int
     sample_rate: int
-    window_kind: str = "hann"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -56,10 +55,6 @@ class StftMatrix:
             raise ValueError("STFT values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_cols(self) -> int:
@@ -418,8 +413,16 @@ def load_frames(path) -> FrameTensor:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        meta[key.strip()] = int(value.strip())
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise CorruptModelFileError(f"{sidecar}: expected 'key = value', got {line!r}")
+        try:
+            meta[key.strip()] = int(value.strip())
+        except ValueError as exc:
+            raise CorruptModelFileError(f"{sidecar}: {key.strip()} is not an integer: {value.strip()!r}") from exc
+    missing = [k for k in ("sample_rate", "hop_length", "hop_size") if k not in meta]
+    if missing:
+        raise CorruptModelFileError(f"{sidecar}: missing {', '.join(missing)}")
     hop_size = meta["hop_size"]
     origins = np.arange(int(num_frames), dtype=np.int64) * hop_size
     return FrameTensor(

@@ -16,8 +16,8 @@ from .detector_api import (
     KIND_KMEANS,
     AnomalyScoreSeries,
     Detector,
-    FeatureMatrix,
     Vectorizer,
+    _as_rows,
     _read_standardizer,
     _write_standardizer,
     check_dim,
@@ -33,13 +33,6 @@ class KMeansModel:
     iterations_run: int
     seed: int
     inertia_history: tuple[float, ...] = ()
-
-
-def _as_rows(X) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(X, FeatureMatrix):
-        return X.rows, X.origin_columns
-    rows = np.asarray(X, dtype=np.float64)
-    return rows, np.arange(rows.shape[0], dtype=np.int64)
 
 
 def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:

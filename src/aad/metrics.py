@@ -7,7 +7,7 @@ ratios evaluate to 0 instead of raising, so threshold sweeps never abort.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -43,10 +43,9 @@ class EvalReport:
     f1: float
     confusion: ConfusionMatrix
     threshold: float
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "method": self.method,
             "train_time_s": self.train_time_s,
             "inference_time_s": self.inference_time_s,
@@ -57,8 +56,6 @@ class EvalReport:
             "confusion": self.confusion.to_dict(),
             "threshold": self.threshold,
         }
-        d.update(self.extra)
-        return d
 
 
 def confusion(labels, predictions) -> ConfusionMatrix:

@@ -22,8 +22,8 @@ from .detector_api import (
     KIND_OCSVM,
     AnomalyScoreSeries,
     Detector,
-    FeatureMatrix,
     Vectorizer,
+    _as_rows,
     _read_standardizer,
     _write_standardizer,
     check_dim,
@@ -42,13 +42,6 @@ class OcSvmModel:
     kkt_violation: float = 0.0
     iterations: int = 0
     extra: dict = field(default_factory=dict)
-
-
-def _as_rows(X) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(X, FeatureMatrix):
-        return X.rows, X.origin_columns
-    rows = np.asarray(X, dtype=np.float64)
-    return rows, np.arange(rows.shape[0], dtype=np.int64)
 
 
 def resolve_gamma(gamma, rows: np.ndarray) -> float:

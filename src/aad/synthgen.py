@@ -163,7 +163,7 @@ def inject_knocks(
         intervals.append(AnomalyInterval(start_s=start_s, end_s=end_s, kind="knock"))
 
     samples = np.clip(samples, -1.0, 1.0)
-    out = AudioClip(samples=samples, sample_rate=sr, source_path=clip.source_path)
+    out = AudioClip(samples=samples, sample_rate=sr)
     return LabeledClip(
         clip=out,
         intervals=tuple(intervals),
@@ -211,7 +211,7 @@ def inject_transient(
     samples = clip.samples.copy()
     samples[i0 : i0 + m] += burst
     samples = np.clip(samples, -1.0, 1.0)
-    out = AudioClip(samples=samples, sample_rate=sr, source_path=clip.source_path)
+    out = AudioClip(samples=samples, sample_rate=sr)
     interval = AnomalyInterval(start_s=start_s, end_s=end_s, kind="transient")
     return LabeledClip(
         clip=out,

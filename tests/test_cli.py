@@ -30,6 +30,26 @@ def tiny_bench(tiny_dataset, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="session")
+def tiny_rare_dataset(tmp_path_factory):
+    """Small rare-mode dataset: one transient in test, no labeled calib split."""
+    out = tmp_path_factory.mktemp("tinyrare")
+    assert main(["synth", "--out", str(out), "--mode", "rare", "--seed", "7",
+                 "--normal-s", "60", "--transient-s", "2"]) == 0
+    fast = out / "fast.txt"
+    text = (out / "config.txt").read_text().replace("lstm_epochs = 30", "lstm_epochs = 2")
+    fast.write_text(text.replace("seed = 0", "seed = 7"))
+    return out
+
+
+@pytest.fixture(scope="session")
+def tiny_rare_bench(tiny_rare_dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("tinyrarebench")
+    assert main(["bench", "--manifest", str(tiny_rare_dataset / "manifest.tsv"),
+                 "--out", str(out), "--config", str(tiny_rare_dataset / "fast.txt")]) == 0
+    return out
+
+
 class TestSynth:
     def test_layout_and_label_policy(self, tiny_dataset):
         records = load_manifest(tiny_dataset / "manifest.tsv")
@@ -122,25 +142,34 @@ class TestBenchReport:
 
 
 class TestStageIsolation:
-    def test_bench_equals_chained_commands(self, tiny_dataset, tiny_bench, tmp_path):
-        cfg = str(tiny_dataset / "fast.txt")
+    @pytest.mark.parametrize("mode", ["knocks", "rare"])
+    def test_bench_equals_chained_commands(self, mode, request, tmp_path):
+        # rare mode has no labeled calib split: calibrate runs without --calib-*
+        # and both paths take the default candidate
+        prefix = "tiny" if mode == "knocks" else "tiny_rare"
+        dataset = request.getfixturevalue(f"{prefix}_dataset")
+        bench = request.getfixturevalue(f"{prefix}_bench")
+        labeled_calib = (dataset / "calib.labels").exists()
+        cfg = str(dataset / "fast.txt")
         out = tmp_path / "staged"
         out.mkdir()
         for split in ("train", "val", "calib", "test"):
-            args = ["features", "--wav", str(tiny_dataset / f"{split}.wav"),
+            args = ["features", "--wav", str(dataset / f"{split}.wav"),
                     "--out", str(out), "--config", cfg]
-            if split in ("calib", "test"):
-                args += ["--labels", str(tiny_dataset / f"{split}.labels")]
+            if (dataset / f"{split}.labels").exists():
+                args += ["--labels", str(dataset / f"{split}.labels")]
             assert main(args) == 0
 
+        calib_args = []
+        if labeled_calib:
+            calib_args = ["--calib-frames", str(out / "calib.frames"),
+                          "--calib-labels", str(dataset / "calib.labels")]
         for kind in ("kmeans", "ocsvm", "lstmae"):
             assert main(["train", "--frames", str(out / "train.frames"),
                          "--detector", kind, "--out", str(out / f"{kind}.model"),
                          "--config", cfg]) == 0
             assert main(["calibrate", "--model", str(out / f"{kind}.model"),
-                         "--val-frames", str(out / "val.frames"),
-                         "--calib-frames", str(out / "calib.frames"),
-                         "--calib-labels", str(tiny_dataset / "calib.labels"),
+                         "--val-frames", str(out / "val.frames"), *calib_args,
                          "--out", str(out / f"{kind}.calibration"), "--config", cfg]) == 0
             assert main(["score", "--model", str(out / f"{kind}.model"),
                          "--frames", str(out / "test.frames"),
@@ -151,19 +180,37 @@ class TestStageIsolation:
                          "--method", kind, "--out", str(out / f"{kind}.eval.json")]) == 0
 
             staged_scores = read_vector(out / f"{kind}.scores")
-            bench_scores = read_vector(tiny_bench / f"{kind}.scores")
+            bench_scores = read_vector(bench / f"{kind}.scores")
             assert np.array_equal(staged_scores, bench_scores)
 
+            mode_line = "mode = f1\n" if labeled_calib else "mode = default\n"
+            assert mode_line in (out / f"{kind}.calibration").read_text()
             staged_threshold = read_calibration_threshold(out / f"{kind}.calibration")
-            bench_threshold = read_calibration_threshold(tiny_bench / f"{kind}.calibration")
+            bench_threshold = read_calibration_threshold(bench / f"{kind}.calibration")
             assert staged_threshold == bench_threshold
 
             staged = json.loads((out / f"{kind}.eval.json").read_text())
-            bench_rows = json.loads((tiny_bench / "report.json").read_text())["rows"]
+            bench_rows = json.loads((bench / "report.json").read_text())["rows"]
             bench_row = next(r for r in bench_rows if r["method"] == kind)
             for key in ("roc_auc", "precision", "recall", "f1"):
                 assert staged[key] == bench_row[key]
             assert staged["confusion"] == bench_row["confusion"]
+
+
+class TestCorruptInputs:
+    def test_malformed_sidecar_is_a_data_error(self, tiny_bench, tmp_path, capsys):
+        frames = tmp_path / "test.frames"
+        frames.write_bytes((tiny_bench / "test.frames").read_bytes())
+        meta = (tiny_bench / "test.frames.meta").read_text()
+        (tmp_path / "test.frames.meta").write_text(
+            "".join(line + "\n" for line in meta.splitlines() if not line.startswith("hop_size"))
+        )
+        capsys.readouterr()
+        rc = main(["score", "--model", str(tiny_bench / "kmeans.model"),
+                   "--frames", str(frames), "--out", str(tmp_path / "s.scores")])
+        assert rc == 3
+        # main prefixes every failure with "error: "; the stage tag follows it
+        assert capsys.readouterr().err.startswith("error: score:")
 
 
 class TestInspect:

@@ -11,7 +11,6 @@ from aad.detector_api import (
     persist,
     read_model_header,
     restore,
-    vectorize,
 )
 from aad.errors import CorruptModelFileError, StandardizerMissingError, VersionMismatchError
 from aad.kmeans import KMeansDetector
@@ -76,20 +75,6 @@ class TestVectorizer:
         test = random_frames(num_frames=8, n_mels=5, frame_size=3, seed=6)
         expected = vec.standardizer.apply(test.frames.reshape(8, -1).copy())
         assert np.array_equal(vec.transform(test).rows, expected)
-
-    def test_one_shot_vectorize_fit_then_apply(self):
-        train = random_frames(num_frames=30, n_mels=5, frame_size=3, seed=5)
-        fitted = vectorize(train, POOL_FLATTEN, fit_standardizer=True)
-        assert np.abs(fitted.rows.mean(axis=0)).max() < 1e-9
-        test = random_frames(num_frames=8, n_mels=5, frame_size=3, seed=6)
-        applied = vectorize(test, POOL_FLATTEN, standardizer=fitted.standardization)
-        assert np.array_equal(
-            applied.rows, fitted.standardization.apply(test.frames.reshape(8, -1).copy())
-        )
-
-    def test_one_shot_vectorize_without_stats_raises(self):
-        with pytest.raises(StandardizerMissingError):
-            vectorize(random_frames(), POOL_FLATTEN)
 
 
 def _fitted_detectors(frames):
@@ -156,6 +141,18 @@ class TestPersistence:
         path = tmp_path / "junk.model"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
         with pytest.raises(CorruptModelFileError):
+            restore(path)
+
+    def test_non_ascii_kind_tag_rejected(self, tmp_path):
+        train = random_frames(num_frames=20, n_mels=4, frame_size=3, seed=16)
+        path = tmp_path / "m.model"
+        KMeansDetector(k=2, seed=0).fit(train).persist(path)
+        data = bytearray(path.read_bytes())
+        data[12] ^= 0xFF  # first byte of the kind tag
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptModelFileError, match="kind tag"):
+            read_model_header(path)
+        with pytest.raises(CorruptModelFileError, match="kind tag"):
             restore(path)
 
     def test_kind_tags(self, tmp_path):

@@ -370,6 +370,20 @@ class TestFramePersistence:
         with pytest.raises(CorruptModelFileError):
             F.load_frames(path)
 
+    @pytest.mark.parametrize("sidecar", [
+        "sample_rate = 16000\nhop_length = 512\nframe_size = 6\n",
+        "sample_rate = 16000\nhop_length = 512\nframe_size = 6\nhop_size = 3.5\n",
+        "sample_rate = 16000\nhop_length = 512\nframe_size = 6\nhop_size 3\n",
+    ], ids=["missing-key", "non-integer", "no-equals"])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar):
+        from conftest import random_frames
+
+        path = tmp_path / "s.frames"
+        F.save_frames(random_frames(seed=7), path)
+        (tmp_path / "s.frames.meta").write_text(sidecar)
+        with pytest.raises(CorruptModelFileError):
+            F.load_frames(path)
+
     def test_future_version_rejected(self, tmp_path):
         from conftest import random_frames
 
