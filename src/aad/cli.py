@@ -89,10 +89,19 @@ def write_vector(path, values, fmt: str = "%.17g") -> None:
             fh.write((fmt % v) + "\n")
 
 
+def _parse_float(path, lineno: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise IoFailureError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+    return value
+
+
 def read_vector(path) -> np.ndarray:
-    return np.array(
-        [float(line) for line in Path(path).read_text().splitlines() if line.strip()]
-    )
+    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    return np.array([_parse_float(path, n, line) for n, line in lines if line.strip()])
 
 
 def write_matrix(path, name: str, matrix) -> None:
@@ -134,9 +143,9 @@ def write_calibration_report(path, mode: str, threshold: float, percentile: floa
 
 
 def read_calibration_threshold(path) -> float:
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.startswith("threshold = "):
-            return float(line.split("=", 1)[1])
+            return _parse_float(path, n, line.split("=", 1)[1])
     raise IoFailureError(f"{path}: no threshold line")
 
 

@@ -8,11 +8,13 @@ digest are readable without touching the parameter blocks.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
+from .blocks import block, decode_blocks, encode_blocks
 from .errors import (
     CorruptModelFileError,
     DimensionMismatchError,
@@ -22,7 +24,7 @@ from .errors import (
 from .features import FrameTensor
 
 MODEL_MAGIC = b"AADMODEL"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 _HEADER_LEN = len(MODEL_MAGIC) + 4 + 8 + 32  # magic, version, kind tag, config digest
 
 POOL_FLATTEN = "flatten"
@@ -133,6 +135,7 @@ class Detector:
         self.config_digest: bytes = b"\x00" * 32
         self.train_time_s: float = 0.0
         self.seed: int = 0
+        self.model = None
 
     def fit(self, frames: FrameTensor) -> "Detector":
         raise NotImplementedError
@@ -146,76 +149,59 @@ class Detector:
 
 # --- model file format --------------------------------------------------
 
-class _Writer:
-    def __init__(self):
-        self.chunks: list[bytes] = []
-
-    def floats(self, arr) -> None:
-        self.chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    def scalar(self, x: float) -> None:
-        self.chunks.append(struct.pack("<d", float(x)))
-
-    def payload(self) -> bytes:
-        return b"".join(self.chunks)
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.offset = 0
-        self.path = path
-
-    def floats(self, count: int) -> np.ndarray:
-        end = self.offset + count * 8
-        if end > len(self.buf):
-            raise CorruptModelFileError(f"{self.path}: truncated parameter block")
-        out = np.frombuffer(self.buf[self.offset : end], dtype="<f8").copy()
-        self.offset = end
-        return out
-
-    def scalar(self) -> float:
-        return float(self.floats(1)[0])
-
-    def integer(self) -> int:
-        value = self.scalar()
-        if not float(value).is_integer():
-            raise CorruptModelFileError(f"{self.path}: expected integer block, got {value}")
-        return int(value)
-
-    def done(self) -> None:
-        if self.offset != len(self.buf):
-            raise CorruptModelFileError(f"{self.path}: {len(self.buf) - self.offset} trailing bytes")
-
-
-def _write_standardizer(w: _Writer, pooling: str, standardizer: Standardizer | None) -> None:
-    w.scalar(0.0 if pooling == POOL_FLATTEN else 1.0)
-    if standardizer is None:
-        w.scalar(0.0)
-        return
-    w.scalar(1.0)
-    w.scalar(standardizer.mean.size)
-    w.floats(standardizer.mean)
-    w.floats(standardizer.std)
-
-
-def _read_standardizer(r: _Reader) -> tuple[str, Standardizer | None]:
-    pooling = POOL_FLATTEN if r.integer() == 0 else POOL_MEAN_TIME
-    if r.integer() == 0:
-        return pooling, None
-    d = r.integer()
-    mean = r.floats(d)
-    std = r.floats(d)
-    return pooling, Standardizer(mean=mean, std=std)
+_POOLINGS = (POOL_FLATTEN, POOL_MEAN_TIME)
+_SCALAR_DTYPES = {int: "<i8", bool: "<i8", float: "<f8"}
 
 
 def persist(detector: Detector, path) -> None:
-    """Write a detector to the model file format."""
-    w = _Writer()
-    detector._pack(w)
+    """Write a detector: the header, then one named block per model field.
+
+    The model dataclass's annotations fix each block's type: int and bool
+    fields are "<i8" scalars, float fields "<f8" scalars, tuples and arrays
+    "<f8", and a dict field one scalar per key ("extra.objective"). The
+    detector adds train_time_s and, with a vectorizer, pooling, mean and std.
+    """
+    model = detector.model
+    if model is None:
+        raise ValueError("cannot persist an unfitted detector")
+    blocks = {"train_time_s": float(detector.train_time_s)}
+    hints = get_type_hints(type(model))
+    for f in fields(model):
+        value, hint = getattr(model, f.name), hints[f.name]
+        if hint is dict:
+            blocks.update({f"{f.name}.{key}": float(v) for key, v in value.items()})
+        else:
+            blocks[f.name] = hint(value) if hint in _SCALAR_DTYPES else value
+    vectorizer = getattr(detector, "vectorizer", None)
+    if vectorizer is not None:
+        blocks["pooling"] = _POOLINGS.index(vectorizer.pooling)
+        if vectorizer.standardizer is not None:
+            blocks["mean"] = vectorizer.standardizer.mean
+            blocks["std"] = vectorizer.standardizer.std
     kind_tag = detector.kind.encode("ascii").ljust(8, b"\x00")
     header = MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + kind_tag + detector.config_digest
-    Path(path).write_bytes(header + w.payload())
+    Path(path).write_bytes(header + encode_blocks(blocks, header))
+
+
+def _model_from_blocks(model_type, blocks: dict, path):
+    """Rebuild a model dataclass, taking each field's block type from its annotation."""
+    hints = get_type_hints(model_type)
+    values = {}
+    for f in fields(model_type):
+        hint = hints[f.name]
+        if hint is dict:
+            prefix = f"{f.name}."
+            values[f.name] = {
+                name[len(prefix):]: float(block(blocks, name, path, ndim=0))
+                for name in blocks if name.startswith(prefix)
+            }
+        elif hint is np.ndarray:
+            values[f.name] = block(blocks, f.name, path).copy()
+        elif get_origin(hint) is tuple:
+            values[f.name] = tuple(block(blocks, f.name, path, ndim=1).tolist())
+        else:
+            values[f.name] = hint(block(blocks, f.name, path, _SCALAR_DTYPES[hint], ndim=0))
+    return model_type(**values)
 
 
 def _parse_header(raw: bytes, path) -> tuple[str, int, bytes]:
@@ -236,24 +222,42 @@ def read_model_header(path) -> tuple[str, int, bytes]:
 
 
 def restore(path) -> Detector:
-    """Load any persisted detector; scores reproduce the original bit-exactly."""
+    """Load any persisted detector; scores reproduce the original bit-exactly.
+
+    The model carries everything scoring needs; constructor settings that
+    only fit() reads (k, nu, hidden, tolerances) keep their class defaults.
+    """
     from . import kmeans, lstm_ae, ocsvm  # deferred: those modules import this one
 
     raw = Path(path).read_bytes()
     kind, version, digest = _parse_header(raw, path)
-    if version > MODEL_VERSION:
-        raise VersionMismatchError(f"{path}: model version {version} > supported {MODEL_VERSION}")
-    loaders = {
-        KIND_KMEANS: kmeans.KMeansDetector._unpack,
-        KIND_OCSVM: ocsvm.OcSvmDetector._unpack,
-        KIND_LSTM_AE: lstm_ae.LstmAeDetector._unpack,
+    if version != MODEL_VERSION:
+        raise VersionMismatchError(f"{path}: model version {version}, supported {MODEL_VERSION}")
+    types = {
+        KIND_KMEANS: (kmeans.KMeansDetector, kmeans.KMeansModel),
+        KIND_OCSVM: (ocsvm.OcSvmDetector, ocsvm.OcSvmModel),
+        KIND_LSTM_AE: (lstm_ae.LstmAeDetector, lstm_ae.LstmAeModel),
     }
-    if kind not in loaders:
+    if kind not in types:
         raise CorruptModelFileError(f"{path}: unknown detector kind {kind!r}")
-    reader = _Reader(raw[_HEADER_LEN:], path)
-    detector = loaders[kind](reader)
-    reader.done()
+    detector_type, model_type = types[kind]
+    blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], path, raw[:_HEADER_LEN])
+    detector = detector_type()
+    detector.model = _model_from_blocks(model_type, blocks, path)
+    detector.train_time_s = float(block(blocks, "train_time_s", path, ndim=0))
     detector.config_digest = digest
+    if hasattr(detector, "vectorizer"):
+        code = int(block(blocks, "pooling", path, "<i8", ndim=0))
+        if not 0 <= code < len(_POOLINGS):
+            raise CorruptModelFileError(f"{path}: unknown pooling code {code}")
+        standardizer = None
+        if "mean" in blocks:
+            standardizer = Standardizer(
+                mean=block(blocks, "mean", path, ndim=1).copy(),
+                std=block(blocks, "std", path, ndim=1).copy(),
+            )
+        detector.vectorizer = Vectorizer(pooling=_POOLINGS[code], standardize=standardizer is not None)
+        detector.vectorizer.standardizer = standardizer
     return detector
 
 

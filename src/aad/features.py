@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip, estimate_noise_profile, rms_normalize, spectral_gate
+from .blocks import block, decode_blocks, encode_blocks
 from .errors import (
     AllZeroSpectrogramError,
     CorruptModelFileError,
@@ -35,7 +36,7 @@ from .errors import (
 DB_FLOOR = -80.0
 
 _FRAME_MAGIC = b"AADFRAME"
-_FRAME_VERSION = 1
+_FRAME_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -366,70 +367,38 @@ def frame_pipeline(
 
 
 def save_frames(frames: FrameTensor, path) -> None:
-    """Write the frame archive: binary tensor plus a text sidecar at <path>.meta.
-
-    Layout: magic "AADFRAME", version u32 LE, dims (num_frames, n_mels,
-    frame_size) as u64 LE, then row-major float32 LE values.
+    """Write the frame archive: magic "AADFRAME", version u32 LE, then named
+    blocks (aad.blocks): frames as float32, hop_size, sample_rate, hop_length.
     """
-    path = Path(path)
+    header = _FRAME_MAGIC + struct.pack("<I", _FRAME_VERSION)
     with open(path, "wb") as fh:
-        fh.write(_FRAME_MAGIC)
-        fh.write(struct.pack("<I", _FRAME_VERSION))
-        fh.write(struct.pack("<QQQ", frames.num_frames, frames.n_mels, frames.frame_size))
-        fh.write(frames.frames.astype("<f4").tobytes())
-    meta = {
-        "sample_rate": frames.sample_rate,
-        "hop_length": frames.hop_length,
-        "frame_size": frames.frame_size,
-        "hop_size": frames.hop_size,
-    }
-    sidecar = "".join(f"{k} = {v}\n" for k, v in meta.items())
-    path.with_name(path.name + ".meta").write_text(sidecar)
+        fh.write(header)
+        fh.write(encode_blocks({
+            "frames": frames.frames.astype("<f4"),
+            "hop_size": frames.hop_size,
+            "sample_rate": frames.sample_rate,
+            "hop_length": frames.hop_length,
+        }, header))
 
 
 def load_frames(path) -> FrameTensor:
-    """Read a frame archive written by save_frames."""
-    path = Path(path)
-    raw = path.read_bytes()
-    header = len(_FRAME_MAGIC) + 4 + 24
-    if len(raw) < header or raw[: len(_FRAME_MAGIC)] != _FRAME_MAGIC:
+    """Read a frame archive written by save_frames; frame_size is the frames' last axis."""
+    raw = Path(path).read_bytes()
+    prefix = len(_FRAME_MAGIC) + 4
+    if len(raw) < prefix or raw[: len(_FRAME_MAGIC)] != _FRAME_MAGIC:
         raise CorruptModelFileError(f"{path}: not a frame archive")
     (version,) = struct.unpack_from("<I", raw, len(_FRAME_MAGIC))
     if version != _FRAME_VERSION:
         raise VersionMismatchError(f"{path}: frame archive version {version} unsupported")
-    num_frames, n_mels, frame_size = struct.unpack_from("<QQQ", raw, len(_FRAME_MAGIC) + 4)
-    expected = num_frames * n_mels * frame_size * 4
-    body = raw[header : header + expected]
-    if len(body) != expected:
-        raise CorruptModelFileError(f"{path}: truncated frame archive")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    values = values.reshape(int(num_frames), int(n_mels), int(frame_size))
-
-    meta: dict[str, int] = {}
-    sidecar = path.with_name(path.name + ".meta")
-    if not sidecar.exists():
-        raise CorruptModelFileError(f"{sidecar}: sidecar metadata missing")
-    for line in sidecar.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CorruptModelFileError(f"{sidecar}: expected 'key = value', got {line!r}")
-        try:
-            meta[key.strip()] = int(value.strip())
-        except ValueError as exc:
-            raise CorruptModelFileError(f"{sidecar}: {key.strip()} is not an integer: {value.strip()!r}") from exc
-    missing = [k for k in ("sample_rate", "hop_length", "hop_size") if k not in meta]
-    if missing:
-        raise CorruptModelFileError(f"{sidecar}: missing {', '.join(missing)}")
-    hop_size = meta["hop_size"]
-    origins = np.arange(int(num_frames), dtype=np.int64) * hop_size
+    blocks = decode_blocks(memoryview(raw)[prefix:], path, raw[:prefix])
+    values = block(blocks, "frames", path, "<f4", ndim=3)
+    names = ("hop_size", "sample_rate", "hop_length")
+    geometry = {k: int(block(blocks, k, path, "<i8", ndim=0)) for k in names}
+    if min(geometry.values()) < 1:
+        raise CorruptModelFileError(f"{path}: frame geometry below 1: {geometry}")
     return FrameTensor(
-        frames=values,
-        frame_size=int(frame_size),
-        hop_size=hop_size,
-        origin_columns=origins,
-        sample_rate=meta["sample_rate"],
-        hop_length=meta["hop_length"],
+        frames=values.astype(np.float64),
+        frame_size=values.shape[2],
+        origin_columns=np.arange(values.shape[0], dtype=np.int64) * geometry["hop_size"],
+        **geometry,
     )

@@ -18,8 +18,6 @@ from .detector_api import (
     Detector,
     Vectorizer,
     _as_rows,
-    _read_standardizer,
-    _write_standardizer,
     check_dim,
 )
 from .errors import DegenerateDataWarning, TooFewSamplesError
@@ -149,35 +147,3 @@ class KMeansDetector(Detector):
         if self.model is None:
             raise ValueError("fit before score")
         return kmeans_score(self.model, self.vectorizer.transform(frames))
-
-    def _pack(self, w) -> None:
-        m = self.model
-        if m is None:
-            raise ValueError("cannot persist an unfitted detector")
-        w.scalar(m.k)
-        w.scalar(m.centroids.shape[1])
-        w.floats(m.centroids)
-        _write_standardizer(w, self.vectorizer.pooling, self.vectorizer.standardizer)
-        w.scalar(m.inertia)
-        w.scalar(m.iterations_run)
-        w.scalar(m.seed)
-        w.scalar(self.train_time_s)
-
-    @classmethod
-    def _unpack(cls, r) -> "KMeansDetector":
-        k = r.integer()
-        d = r.integer()
-        centroids = r.floats(k * d).reshape(k, d)
-        pooling, standardizer = _read_standardizer(r)
-        inertia = r.scalar()
-        iterations = r.integer()
-        seed = r.integer()
-        train_time = r.scalar()
-
-        det = cls(k=k, seed=seed, pooling=pooling, standardize=standardizer is not None)
-        det.vectorizer.standardizer = standardizer
-        det.model = KMeansModel(
-            centroids=centroids, k=k, inertia=inertia, iterations_run=iterations, seed=seed
-        )
-        det.train_time_s = train_time
-        return det

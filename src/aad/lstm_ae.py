@@ -328,48 +328,3 @@ class LstmAeDetector(Detector):
         if self.model is None:
             raise ValueError("fit before score")
         return lstm_ae_score(self.model, frames)
-
-    def _pack(self, w) -> None:
-        m = self.model
-        if m is None:
-            raise ValueError("cannot persist an unfitted detector")
-        w.scalar(m.input_dim)
-        w.scalar(m.hidden)
-        for name in _PARAM_NAMES:
-            w.floats(getattr(m, name))
-        w.scalar(m.seed)
-        w.scalar(m.epochs)
-        w.scalar(m.batch_size)
-        w.scalar(m.learning_rate)
-        w.scalar(m.final_loss)
-        w.scalar(self.train_time_s)
-
-    @classmethod
-    def _unpack(cls, r) -> "LstmAeDetector":
-        input_dim = r.integer()
-        hidden = r.integer()
-        shapes = {
-            "enc_W": (4 * hidden, input_dim + hidden),
-            "enc_b": (4 * hidden,),
-            "dec_W": (4 * hidden, 2 * hidden),
-            "dec_b": (4 * hidden,),
-            "proj_W": (input_dim, hidden),
-            "proj_b": (input_dim,),
-        }
-        arrays = {}
-        for name, shape in shapes.items():
-            arrays[name] = r.floats(int(np.prod(shape))).reshape(shape)
-        seed = r.integer()
-        epochs = r.integer()
-        batch_size = r.integer()
-        lr = r.scalar()
-        final_loss = r.scalar()
-        train_time = r.scalar()
-
-        det = cls(hidden=hidden, epochs=epochs, batch=batch_size, lr=lr, seed=seed)
-        det.model = LstmAeModel(
-            input_dim=input_dim, hidden=hidden, seed=seed, epochs=epochs,
-            batch_size=batch_size, learning_rate=lr, final_loss=final_loss, **arrays,
-        )
-        det.train_time_s = train_time
-        return det

@@ -24,8 +24,6 @@ from .detector_api import (
     Detector,
     Vectorizer,
     _as_rows,
-    _read_standardizer,
-    _write_standardizer,
     check_dim,
 )
 from .errors import InfeasibleNuError, NonConvergenceWarning, TooFewSamplesError
@@ -238,44 +236,3 @@ class OcSvmDetector(Detector):
         if self.model is None:
             raise ValueError("fit before score")
         return ocsvm_score(self.model, self.vectorizer.transform(frames))
-
-    def _pack(self, w) -> None:
-        m = self.model
-        if m is None:
-            raise ValueError("cannot persist an unfitted detector")
-        w.scalar(m.nu)
-        w.scalar(m.gamma)
-        w.scalar(m.rho)
-        w.scalar(m.alphas.size)
-        w.scalar(m.support_vectors.shape[1])
-        w.floats(m.alphas)
-        w.floats(m.support_vectors)
-        _write_standardizer(w, self.vectorizer.pooling, self.vectorizer.standardizer)
-        w.scalar(1.0 if m.converged else 0.0)
-        w.scalar(m.kkt_violation)
-        w.scalar(m.iterations)
-        w.scalar(self.train_time_s)
-
-    @classmethod
-    def _unpack(cls, r) -> "OcSvmDetector":
-        nu = r.scalar()
-        gamma = r.scalar()
-        rho = r.scalar()
-        n_sv = r.integer()
-        d = r.integer()
-        alphas = r.floats(n_sv)
-        support = r.floats(n_sv * d).reshape(n_sv, d)
-        pooling, standardizer = _read_standardizer(r)
-        converged = r.integer() == 1
-        kkt = r.scalar()
-        iterations = r.integer()
-        train_time = r.scalar()
-
-        det = cls(nu=nu, gamma=gamma, pooling=pooling, standardize=standardizer is not None)
-        det.vectorizer.standardizer = standardizer
-        det.model = OcSvmModel(
-            support_vectors=support, alphas=alphas, rho=rho, nu=nu, gamma=gamma,
-            converged=converged, kkt_violation=kkt, iterations=iterations,
-        )
-        det.train_time_s = train_time
-        return det

@@ -9,7 +9,6 @@ injects one long broadband transient instead.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,6 @@ class AnomalyInterval:
 class LabeledClip:
     clip: AudioClip
     intervals: tuple[AnomalyInterval, ...]
-    seed: int
-    config_digest: str
 
     def __post_init__(self):
         last_end = 0.0
@@ -54,11 +51,6 @@ class LabeledClip:
             if iv.end_s > self.clip.duration_s + 1e-9:
                 raise ValueError("interval extends past the clip")
             last_end = iv.end_s
-
-
-def _digest(**params) -> str:
-    text = "\n".join(f"{k}={params[k]!r}" for k in sorted(params))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _lowpass(noise: np.ndarray, sample_rate: int, cutoff_hz: float, order: int) -> np.ndarray:
@@ -167,8 +159,6 @@ def inject_knocks(
     return LabeledClip(
         clip=out,
         intervals=tuple(intervals),
-        seed=seed,
-        config_digest=_digest(kind="knocks", rate_per_min=rate_per_min, seed=seed, duration=duration),
     )
 
 
@@ -216,8 +206,6 @@ def inject_transient(
     return LabeledClip(
         clip=out,
         intervals=(interval,),
-        seed=seed,
-        config_digest=_digest(kind="transient", duration_s=duration_s, seed=seed, align_s=align_s),
     )
 
 

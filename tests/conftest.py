@@ -1,7 +1,12 @@
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from aad.audio_io import AudioClip
+from aad.blocks import encode_blocks
 from aad.features import FrameTensor, MelSpectrogram
 
 
@@ -31,3 +36,16 @@ def random_frames(num_frames=20, n_mels=12, frame_size=6, hop_size=3, seed=0,
     origins = np.arange(num_frames, dtype=np.int64) * hop_size
     return FrameTensor(frames=frames, frame_size=frame_size, hop_size=hop_size,
                        origin_columns=origins, sample_rate=sample_rate, hop_length=hop_length)
+
+
+def write_frame_archive(path, frames, tail=b"", **overrides):
+    """Write a version-2 frame archive by hand, re-checksummed after appending tail.
+
+    An override of None drops that block; any other value replaces it.
+    """
+    header = b"AADFRAME" + struct.pack("<I", 2)
+    blocks = {"frames": frames.frames.astype("<f4"), "hop_size": frames.hop_size,
+              "sample_rate": frames.sample_rate, "hop_length": frames.hop_length, **overrides}
+    table = encode_blocks({k: v for k, v in blocks.items() if v is not None})[4:] + tail
+    crc = zlib.crc32(table, zlib.crc32(header))
+    Path(path).write_bytes(header + struct.pack("<I", crc) + table)

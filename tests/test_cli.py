@@ -6,6 +6,9 @@ import pytest
 from aad.cli import main, read_calibration_threshold, read_matrix, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
 from aad.errors import ManifestError
+from aad.features import load_frames
+
+from conftest import write_frame_archive
 
 pytestmark = pytest.mark.cli
 
@@ -198,19 +201,35 @@ class TestStageIsolation:
 
 
 class TestCorruptInputs:
-    def test_malformed_sidecar_is_a_data_error(self, tiny_bench, tmp_path, capsys):
+    def test_malformed_archive_is_a_data_error(self, tiny_bench, tmp_path, capsys):
         frames = tmp_path / "test.frames"
-        frames.write_bytes((tiny_bench / "test.frames").read_bytes())
-        meta = (tiny_bench / "test.frames.meta").read_text()
-        (tmp_path / "test.frames.meta").write_text(
-            "".join(line + "\n" for line in meta.splitlines() if not line.startswith("hop_size"))
-        )
+        write_frame_archive(frames, load_frames(tiny_bench / "test.frames"), hop_size=0)
         capsys.readouterr()
         rc = main(["score", "--model", str(tiny_bench / "kmeans.model"),
                    "--frames", str(frames), "--out", str(tmp_path / "s.scores")])
         assert rc == 3
         # main prefixes every failure with "error: "; the stage tag follows it
         assert capsys.readouterr().err.startswith("error: score:")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--scores", "0.5\nabc\n"),
+        ("--scores", "0.5\nnan\n"),
+        ("--calibration", "mode = f1\nthreshold = x\n"),
+    ], ids=["scores", "nan-score", "calibration"])
+    def test_unparseable_eval_input_is_a_data_error(self, tiny_bench, tmp_path, capsys, flag, text):
+        inputs = {"--scores": tiny_bench / "kmeans.scores",
+                  "--calibration": tiny_bench / "kmeans.calibration"}
+        inputs[flag] = tmp_path / "bad.txt"
+        inputs[flag].write_text(text)
+        argv = ["eval", "--labels", str(tiny_bench / "test.framelabels"),
+                "--out", str(tmp_path / "e.json")]
+        for name, path in inputs.items():
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: eval:")
+        assert "bad.txt:2" in err
 
 
 class TestInspect:

@@ -5,6 +5,7 @@ from aad.detector_api import (
     KIND_KMEANS,
     KIND_LSTM_AE,
     KIND_OCSVM,
+    MODEL_VERSION,
     POOL_FLATTEN,
     POOL_MEAN_TIME,
     Vectorizer,
@@ -12,7 +13,8 @@ from aad.detector_api import (
     read_model_header,
     restore,
 )
-from aad.errors import CorruptModelFileError, StandardizerMissingError, VersionMismatchError
+from aad.errors import CorruptModelFileError, PipelineError, StandardizerMissingError, VersionMismatchError
+from aad.features import load_frames, save_frames
 from aad.kmeans import KMeansDetector
 from aad.lstm_ae import LstmAeDetector
 from aad.ocsvm import OcSvmDetector
@@ -89,12 +91,25 @@ class TestPersistence:
     def test_round_trip_scores_bit_exact(self, tmp_path):
         train = random_frames(num_frames=40, n_mels=6, frame_size=5, seed=7)
         probe = random_frames(num_frames=12, n_mels=6, frame_size=5, seed=8)
+        pairs = {}
         for det in _fitted_detectors(train):
+            det.train_time_s = 1.25
             path = tmp_path / f"{det.kind}.model"
             det.persist(path)
             loaded = restore(path)
             assert loaded.kind == det.kind
             assert np.array_equal(loaded.score(probe).scores, det.score(probe).scores)
+            assert loaded.train_time_s == det.train_time_s
+            pairs[det.kind] = (det.model, loaded.model)
+        # solver diagnostics survive the round trip, not only the scoring parameters
+        original, loaded = pairs[KIND_KMEANS]
+        assert len(original.inertia_history) > 1
+        assert loaded.inertia_history == original.inertia_history
+        original, loaded = pairs[KIND_LSTM_AE]
+        assert len(original.loss_history) == 3
+        assert loaded.loss_history == original.loss_history
+        original, loaded = pairs[KIND_OCSVM]
+        assert loaded.extra["objective"] == original.extra["objective"]
 
     def test_header_readable_without_parameters(self, tmp_path):
         train = random_frames(num_frames=20, n_mels=4, frame_size=3, seed=9)
@@ -104,7 +119,7 @@ class TestPersistence:
         det.persist(path)
         kind, version, digest = read_model_header(path)
         assert kind == KIND_KMEANS
-        assert version == 1
+        assert version == MODEL_VERSION
         assert digest == bytes(range(32))
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -126,13 +141,14 @@ class TestPersistence:
         with pytest.raises(CorruptModelFileError):
             restore(path)
 
-    def test_future_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 200])
+    def test_future_version_rejected(self, tmp_path, version):
         train = random_frames(num_frames=20, n_mels=4, frame_size=3, seed=12)
         det = KMeansDetector(k=2, seed=0).fit(train)
         path = tmp_path / "m.model"
         det.persist(path)
         data = bytearray(path.read_bytes())
-        data[8] = 200  # bump the little-endian version word
+        data[8] = version  # low byte of the little-endian version word
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError):
             restore(path)
@@ -161,6 +177,32 @@ class TestPersistence:
             path = tmp_path / f"{kind}.model"
             det.persist(path)
             assert read_model_header(path)[0] == kind
+
+
+class TestCorruptionFuzz:
+    @pytest.mark.parametrize("artifact", [KIND_KMEANS, KIND_OCSVM, KIND_LSTM_AE, "frames"])
+    def test_every_mutation_is_a_pipeline_error(self, tmp_path, artifact):
+        """Seeded truncations and 1-3 byte XOR flips; none may load."""
+        train = random_frames(num_frames=30, n_mels=4, frame_size=4, seed=17)
+        path = tmp_path / "artifact"
+        if artifact == "frames":
+            save_frames(train, path)
+            load = load_frames
+        else:
+            next(d for d in _fitted_detectors(train) if d.kind == artifact).persist(path)
+            load = restore
+        pristine = path.read_bytes()
+        rng = np.random.default_rng(0)
+        for trial in range(51):
+            data = bytearray(pristine)
+            if trial % 3 == 0:
+                data = data[: int(rng.integers(len(data)))]
+            else:
+                for pos in rng.choice(len(data), size=int(rng.integers(1, 4)), replace=False):
+                    data[pos] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(data))
+            with pytest.raises(PipelineError):
+                load(path)
 
 
 class TestScoreOrderInvariance:

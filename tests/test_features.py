@@ -370,27 +370,35 @@ class TestFramePersistence:
         with pytest.raises(CorruptModelFileError):
             F.load_frames(path)
 
-    @pytest.mark.parametrize("sidecar", [
-        "sample_rate = 16000\nhop_length = 512\nframe_size = 6\n",
-        "sample_rate = 16000\nhop_length = 512\nframe_size = 6\nhop_size = 3.5\n",
-        "sample_rate = 16000\nhop_length = 512\nframe_size = 6\nhop_size 3\n",
-    ], ids=["missing-key", "non-integer", "no-equals"])
-    def test_malformed_sidecar_rejected(self, tmp_path, sidecar):
-        from conftest import random_frames
+    @pytest.mark.parametrize("overrides, tail, flip, match", [
+        ({"hop_size": None}, b"", None, "missing block 'hop_size'"),
+        ({"hop_size": 0}, b"", None, "below 1"),
+        ({"hop_size": 3.5}, b"", None, "'hop_size' is <f8"),
+        ({"sample_rate": -5}, b"", None, "below 1"),
+        ({}, b"\x00" * 8, None, "trailing bytes"),
+        ({}, b"", 40, "checksum"),
+    ], ids=["missing-hop-size", "zero-hop-size", "float-hop-size", "negative-sample-rate",
+            "trailing-bytes", "flipped-byte"])
+    def test_malformed_archive_rejected(self, tmp_path, overrides, tail, flip, match):
+        from conftest import random_frames, write_frame_archive
 
         path = tmp_path / "s.frames"
-        F.save_frames(random_frames(seed=7), path)
-        (tmp_path / "s.frames.meta").write_text(sidecar)
-        with pytest.raises(CorruptModelFileError):
+        write_frame_archive(path, random_frames(seed=7), tail=tail, **overrides)
+        if flip is not None:
+            data = bytearray(path.read_bytes())
+            data[flip] ^= 0x01
+            path.write_bytes(bytes(data))
+        with pytest.raises(CorruptModelFileError, match=match):
             F.load_frames(path)
 
-    def test_future_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 200])
+    def test_future_version_rejected(self, tmp_path, version):
         from conftest import random_frames
 
         path = tmp_path / "v.frames"
         F.save_frames(random_frames(seed=6), path)
         data = bytearray(path.read_bytes())
-        data[8] = 99
+        data[8] = version
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError):
             F.load_frames(path)
