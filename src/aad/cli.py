@@ -27,7 +27,7 @@ import numpy as np
 from . import features as feat
 from .audio_io import AudioClip, load_wav, save_wav
 from .calibration import default_candidate, select_by_f1, sweep_thresholds
-from .config import SPLITS, ManifestRecord, RunConfig, load_config, load_manifest, write_manifest
+from .config import SPLITS, ManifestRecord, RunConfig, _text_lines, load_config, load_manifest, write_manifest
 from .detector_api import restore
 from .errors import IoFailureError, ManifestError, PipelineError
 from .kmeans import KMeansDetector
@@ -67,8 +67,7 @@ def _build_detector(kind: str, cfg: RunConfig):
     elif kind == "ocsvm":
         det = OcSvmDetector(
             nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma, tol=cfg.ocsvm_tol,
-            max_passes=cfg.ocsvm_max_passes, cache_rows=cfg.ocsvm_cache_rows,
-            pooling=cfg.pooling, standardize=cfg.standardize,
+            max_passes=cfg.ocsvm_max_passes, pooling=cfg.pooling, standardize=cfg.standardize,
         )
     elif kind == "lstmae":
         det = LstmAeDetector(
@@ -84,9 +83,7 @@ def _build_detector(kind: str, cfg: RunConfig):
 # --- small text formats ---------------------------------------------------
 
 def write_vector(path, values, fmt: str = "%.17g") -> None:
-    with open(path, "w") as fh:
-        for v in np.asarray(values).ravel():
-            fh.write((fmt % v) + "\n")
+    np.savetxt(path, np.asarray(values).ravel(), fmt=fmt)
 
 
 def _parse_float(path, lineno: int, text: str) -> float:
@@ -100,16 +97,14 @@ def _parse_float(path, lineno: int, text: str) -> float:
 
 
 def read_vector(path) -> np.ndarray:
-    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    lines = _text_lines(path, IoFailureError)
     return np.array([_parse_float(path, n, line) for n, line in lines if line.strip()])
 
 
 def write_matrix(path, name: str, matrix) -> None:
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w") as fh:
-        fh.write(f"# {name} {m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write("\t".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, m, fmt="%.17g", delimiter="\t",
+               header=f"{name} {m.shape[0]} {m.shape[1]}", comments="# ")
 
 
 def read_matrix(path) -> tuple[str, np.ndarray]:
@@ -143,7 +138,7 @@ def write_calibration_report(path, mode: str, threshold: float, percentile: floa
 
 
 def read_calibration_threshold(path) -> float:
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in _text_lines(path, IoFailureError):
         if line.startswith("threshold = "):
             return _parse_float(path, n, line.split("=", 1)[1])
     raise IoFailureError(f"{path}: no threshold line")
@@ -340,22 +335,27 @@ def cmd_eval(args) -> int:
 
 # --- inspect ----------------------------------------------------------------
 
+def write_inspect(wav, out, cfg: RunConfig) -> None:
+    """Write the Mel dB, MFCC and FFT amplitude matrices of one wav into <out>."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    clip = load_wav(wav)
+    spec = feat.stft(clip, n_fft=cfg.n_fft, hop_length=cfg.hop_length)
+    fb = feat.mel_filterbank(clip.sample_rate, cfg.n_fft, n_mels=cfg.n_mels,
+                             fmin=cfg.fmin, fmax=cfg.fmax)
+    mel_db = feat.power_to_db(feat.mel_power(spec, fb))
+    coeffs = feat.mfcc(mel_db, n_mfcc=min(13, cfg.n_mels))
+    freqs, amps = feat.fft_amplitude_spectrum(clip)
+    write_matrix(out / "mel_db.tsv", "mel_db", mel_db.values)
+    write_matrix(out / "mfcc.tsv", "mfcc", coeffs)
+    write_matrix(out / "fft_amplitude.tsv", "fft_amplitude", np.vstack([freqs, amps]))
+
+
 def cmd_inspect(args) -> int:
     cfg = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with _stage("inspect"):
-        clip = load_wav(args.wav)
-        spec = feat.stft(clip, n_fft=cfg.n_fft, hop_length=cfg.hop_length)
-        fb = feat.mel_filterbank(clip.sample_rate, cfg.n_fft, n_mels=cfg.n_mels,
-                                 fmin=cfg.fmin, fmax=cfg.fmax)
-        mel_db = feat.power_to_db(feat.mel_power(spec, fb))
-        coeffs = feat.mfcc(mel_db, n_mfcc=min(13, cfg.n_mels))
-        freqs, amps = feat.fft_amplitude_spectrum(clip)
-        write_matrix(out / "mel_db.tsv", "mel_db", mel_db.values)
-        write_matrix(out / "mfcc.tsv", "mfcc", coeffs)
-        write_matrix(out / "fft_amplitude.tsv", "fft_amplitude", np.vstack([freqs, amps]))
-    print(f"wrote inspect artifacts to {out}")
+        write_inspect(args.wav, args.out, cfg)
+    print(f"wrote inspect artifacts to {args.out}")
     return 0
 
 
@@ -469,11 +469,8 @@ def cmd_bench(args) -> int:
     (out / "report.txt").write_text(_format_report_table(reports))
 
     with _stage("inspect"):
-        inspect_args = argparse.Namespace(
-            wav=str(by_split["test"][0].wav), out=str(out / "inspect"),
-            config=getattr(args, "config", None), seed=None,
-        )
-        cmd_inspect(inspect_args)
+        write_inspect(by_split["test"][0].wav, out / "inspect", cfg)
+    print(f"wrote inspect artifacts to {out / 'inspect'}")
 
     print((out / "report.txt").read_text())
     return 0

@@ -39,7 +39,6 @@ class RunConfig:
     ocsvm_gamma: float | str = "scale"
     ocsvm_tol: float = 1e-3
     ocsvm_max_passes: int = 50
-    ocsvm_cache_rows: int = 1024
     lstm_hidden: int = 64
     lstm_epochs: int = 30
     lstm_batch: int = 64
@@ -68,6 +67,17 @@ class RunConfig:
         text = "".join(f"{f.name} = {_format_value(getattr(self, f.name))}\n"
                        for f in dataclasses.fields(self))
         Path(path).write_text(text)
+
+
+def _text_lines(path, error_type) -> list[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file; undecodable bytes raise error_type at file:line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise error_type(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
+    return list(enumerate(text.splitlines(), start=1))
 
 
 def _format_value(value) -> str:
@@ -103,7 +113,7 @@ def load_config(path) -> RunConfig:
     # fmax, target_rms and ocsvm_gamma have default types that _coerce special-cases
     types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in _text_lines(path, ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -136,7 +146,7 @@ def load_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
     base = path.parent
     records = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in _text_lines(path, ManifestError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

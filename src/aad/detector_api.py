@@ -96,6 +96,15 @@ def _as_rows(X) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(rows.shape[0], dtype=np.int64)
 
 
+def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    d2 = (
+        np.sum(A**2, axis=1)[:, None]
+        + np.sum(B**2, axis=1)[None, :]
+        - 2.0 * A @ B.T
+    )
+    return np.maximum(d2, 0.0)
+
+
 class Vectorizer:
     """Stateful vectorization for the detector wrappers.
 
@@ -218,7 +227,8 @@ def _parse_header(raw: bytes, path) -> tuple[str, int, bytes]:
 
 def read_model_header(path) -> tuple[str, int, bytes]:
     """Kind tag, format version and config digest without loading parameters."""
-    return _parse_header(Path(path).read_bytes(), path)
+    with open(path, "rb") as fh:
+        return _parse_header(fh.read(_HEADER_LEN), path)
 
 
 def restore(path) -> Detector:

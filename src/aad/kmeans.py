@@ -18,6 +18,7 @@ from .detector_api import (
     Detector,
     Vectorizer,
     _as_rows,
+    _sq_distances,
     check_dim,
 )
 from .errors import DegenerateDataWarning, TooFewSamplesError
@@ -31,15 +32,6 @@ class KMeansModel:
     iterations_run: int
     seed: int
     inertia_history: tuple[float, ...] = ()
-
-
-def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(rows**2, axis=1)[:, None]
-        + np.sum(centroids**2, axis=1)[None, :]
-        - 2.0 * rows @ centroids.T
-    )
-    return np.maximum(d2, 0.0)
 
 
 def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

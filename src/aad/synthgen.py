@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioClip
-from .errors import ClipTooShortError
+from .config import _text_lines
+from .errors import ClipTooShortError, IoFailureError
 from .features import FrameTensor
 
 KNOCK_BAND = (2000.0, 6000.0)
@@ -231,12 +232,17 @@ def write_intervals(path, intervals) -> None:
 
 
 def read_intervals(path) -> tuple[AnomalyInterval, ...]:
+    """Parse write_intervals output; a malformed line is an IoFailureError at file:line."""
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in _text_lines(path, IoFailureError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             start, end, kind = line.split("\t")
             out.append(AnomalyInterval(start_s=float(start), end_s=float(end), kind=kind))
+        except ValueError as exc:
+            raise IoFailureError(
+                f"{path}:{lineno}: expected 'start<TAB>end<TAB>kind', 0 <= start < end: {exc}"
+            ) from exc
     return tuple(out)

@@ -231,6 +231,30 @@ class TestCorruptInputs:
         assert err.startswith("error: eval:")
         assert "bad.txt:2" in err
 
+    @pytest.mark.parametrize("kind, content", [
+        ("config", b"n_fft = 1024\nseed = \xff\n"),
+        ("manifest", b"train.wav\ttrain\n\xff.wav\tval\n"),
+        ("labels", b"0.5\t1.0\tknock\n1.0\t2.0\n"),
+        ("labels", b"0.5\t1.0\tknock\nx\t2.0\tknock\n"),
+        ("labels", b"0.5\t1.0\tknock\n2.0\t1.5\tknock\n"),
+        ("labels", b"0.5\t1.0\tknock\n\xff\n"),
+        ("scores", b"0.5\n\xff\n"),
+    ], ids=["config-not-utf8", "manifest-not-utf8", "labels-two-fields", "labels-not-a-number",
+            "labels-end-before-start", "labels-not-utf8", "scores-not-utf8"])
+    def test_malformed_text_input_is_a_data_error(self, tiny_dataset, tmp_path, capsys, kind, content):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(content)
+        out = str(tmp_path / "out")
+        argv = {
+            "config": ["synth", "--config", str(bad), "--out", out],
+            "manifest": ["bench", "--manifest", str(bad), "--out", out],
+            "labels": ["features", "--wav", str(tiny_dataset / "test.wav"), "--labels", str(bad), "--out", out],
+            "scores": ["eval", "--scores", str(bad), "--labels", str(bad), "--threshold", "0", "--out", out],
+        }[kind]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"bad.{kind}:2:" in capsys.readouterr().err
+
 
 class TestInspect:
     def test_matrix_round_trip(self, tmp_path, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aad import ocsvm
 from aad.errors import DimensionMismatchError, InfeasibleNuError, NonConvergenceWarning
 from aad.ocsvm import OcSvmDetector, ocsvm_fit, ocsvm_score, rbf_kernel_block, resolve_gamma
 
@@ -54,6 +55,16 @@ class TestFit:
         _, oracle_obj = projected_gradient_oracle(K, C=1.0 / (0.1 * 200))
         assert model.extra["objective"] == pytest.approx(oracle_obj, abs=1e-4)
         assert model.kkt_violation <= 1e-5
+
+    def test_kept_kernel_rows_change_nothing(self, monkeypatch):
+        rows = np.random.default_rng(5).standard_normal((300, 4))
+        kept = ocsvm_fit(rows, nu=0.1, gamma=0.5, tol=1e-5)
+        monkeypatch.setattr(ocsvm, "KERNEL_ROW_BYTES", 0)  # every row recomputed
+        recomputed = ocsvm_fit(rows, nu=0.1, gamma=0.5, tol=1e-5)
+        assert np.array_equal(kept.alphas, recomputed.alphas)
+        assert kept.rho == recomputed.rho
+        assert kept.iterations == recomputed.iterations
+        assert kept.extra["objective"] == recomputed.extra["objective"]
 
     def test_dual_feasibility_at_convergence(self):
         rows = np.random.default_rng(3).standard_normal((150, 3))
