@@ -60,14 +60,10 @@ def _load_run_config(args) -> RunConfig:
 
 def _build_detector(kind: str, cfg: RunConfig):
     if kind == "kmeans":
-        det = KMeansDetector(
-            k=cfg.kmeans_k, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol,
-            seed=cfg.seed, pooling=cfg.pooling, standardize=cfg.standardize,
-        )
+        det = KMeansDetector(k=cfg.kmeans_k, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, seed=cfg.seed)
     elif kind == "ocsvm":
         det = OcSvmDetector(
-            nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma, tol=cfg.ocsvm_tol,
-            max_passes=cfg.ocsvm_max_passes, pooling=cfg.pooling, standardize=cfg.standardize,
+            nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma, tol=cfg.ocsvm_tol, max_passes=cfg.ocsvm_max_passes,
         )
     elif kind == "lstmae":
         det = LstmAeDetector(
@@ -105,16 +101,6 @@ def write_matrix(path, name: str, matrix) -> None:
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     np.savetxt(path, m, fmt="%.17g", delimiter="\t",
                header=f"{name} {m.shape[0]} {m.shape[1]}", comments="# ")
-
-
-def read_matrix(path) -> tuple[str, np.ndarray]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].lstrip("# ").split()
-    name, rows, cols = header[0], int(header[1]), int(header[2])
-    m = np.array([[float(v) for v in line.split("\t")] for line in lines[1 : 1 + rows]])
-    if m.shape != (rows, cols):
-        raise IoFailureError(f"{path}: matrix shape {m.shape} != header ({rows}, {cols})")
-    return name, m
 
 
 def write_calibration_report(path, mode: str, threshold: float, percentile: float,
@@ -161,7 +147,7 @@ def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 42
+    seed = cfg.seed
 
     frame_size, hop_size = feat.default_framing(
         SAMPLE_RATE, cfg.hop_length, cfg.time_per_frame, cfg.hop_ratio

@@ -30,8 +30,6 @@ class RunConfig:
     denoise: bool = False
     denoise_percentile: float = 20.0
     denoise_margin_db: float = 6.0
-    pooling: str = "flatten"
-    standardize: bool = True
     kmeans_k: int = 8
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-4

@@ -27,9 +27,6 @@ MODEL_MAGIC = b"AADMODEL"
 MODEL_VERSION = 2
 _HEADER_LEN = len(MODEL_MAGIC) + 4 + 8 + 32  # magic, version, kind tag, config digest
 
-POOL_FLATTEN = "flatten"
-POOL_MEAN_TIME = "mean_pool_time"
-
 KIND_KMEANS = "kmeans"
 KIND_OCSVM = "ocsvm"
 KIND_LSTM_AE = "lstmae"
@@ -58,42 +55,16 @@ class Standardizer:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    rows: np.ndarray            # [num_frames x d]
-    origin_columns: np.ndarray
-
-
-@dataclass(frozen=True)
 class AnomalyScoreSeries:
     """One score per frame; higher means more anomalous."""
 
     scores: np.ndarray
-    origin_columns: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
         if not np.all(np.isfinite(s)):
             raise ValueError("scores must be finite")
-        if s.size != np.asarray(self.origin_columns).size:
-            raise ValueError("one score per frame origin required")
         object.__setattr__(self, "scores", s)
-
-
-def pool_frames(frames: FrameTensor, pooling: str) -> np.ndarray:
-    """Flatten each frame row-major, or average it over the time axis."""
-    if pooling == POOL_FLATTEN:
-        return frames.frames.reshape(frames.num_frames, -1).copy()
-    if pooling == POOL_MEAN_TIME:
-        return frames.frames.mean(axis=2)
-    raise ValueError(f"unknown pooling {pooling!r}")
-
-
-def _as_rows(X) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and frame origins of a FeatureMatrix; a bare array gets origins 0..n-1."""
-    if isinstance(X, FeatureMatrix):
-        return X.rows, X.origin_columns
-    rows = np.asarray(X, dtype=np.float64)
-    return rows, np.arange(rows.shape[0], dtype=np.int64)
 
 
 def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -106,33 +77,27 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class Vectorizer:
-    """Stateful vectorization for the detector wrappers.
+    """Standardized frame rows for K-Means and OC-SVM.
 
+    Each frame is flattened row-major ([n_mels x frame_size] -> one row).
     fit() learns per-dimension statistics from training frames; transform()
-    reuses them and refuses to run before fitting when standardization is on.
-    Standardization can be disabled entirely (the autoencoder path consumes
-    raw [0, 1] frames).
+    reuses them and refuses to run before fitting or on rows of another width.
     """
 
-    def __init__(self, pooling: str = POOL_FLATTEN, standardize: bool = True):
-        self.pooling = pooling
-        self.standardize = standardize
+    def __init__(self):
         self.standardizer: Standardizer | None = None
 
-    def fit(self, frames: FrameTensor) -> FeatureMatrix:
-        rows = pool_frames(frames, self.pooling)
-        if self.standardize:
-            self.standardizer = Standardizer.fit(rows)
-            rows = self.standardizer.apply(rows)
-        return FeatureMatrix(rows=rows, origin_columns=frames.origin_columns)
+    def fit(self, frames: FrameTensor) -> np.ndarray:
+        rows = frames.frames.reshape(frames.num_frames, -1)
+        self.standardizer = Standardizer.fit(rows)
+        return self.standardizer.apply(rows)
 
-    def transform(self, frames: FrameTensor) -> FeatureMatrix:
-        rows = pool_frames(frames, self.pooling)
-        if self.standardize:
-            if self.standardizer is None:
-                raise StandardizerMissingError("transform before fit: no stored statistics")
-            rows = self.standardizer.apply(rows)
-        return FeatureMatrix(rows=rows, origin_columns=frames.origin_columns)
+    def transform(self, frames: FrameTensor) -> np.ndarray:
+        if self.standardizer is None:
+            raise StandardizerMissingError("transform before fit: no stored statistics")
+        rows = frames.frames.reshape(frames.num_frames, -1)
+        check_dim(self.standardizer.mean.size, rows.shape[1])
+        return self.standardizer.apply(rows)
 
 
 class Detector:
@@ -158,7 +123,6 @@ class Detector:
 
 # --- model file format --------------------------------------------------
 
-_POOLINGS = (POOL_FLATTEN, POOL_MEAN_TIME)
 _SCALAR_DTYPES = {int: "<i8", bool: "<i8", float: "<f8"}
 
 
@@ -168,7 +132,7 @@ def persist(detector: Detector, path) -> None:
     The model dataclass's annotations fix each block's type: int and bool
     fields are "<i8" scalars, float fields "<f8" scalars, tuples and arrays
     "<f8", and a dict field one scalar per key ("extra.objective"). The
-    detector adds train_time_s and, with a vectorizer, pooling, mean and std.
+    detector adds train_time_s and, with a vectorizer, its mean and std.
     """
     model = detector.model
     if model is None:
@@ -183,10 +147,8 @@ def persist(detector: Detector, path) -> None:
             blocks[f.name] = hint(value) if hint in _SCALAR_DTYPES else value
     vectorizer = getattr(detector, "vectorizer", None)
     if vectorizer is not None:
-        blocks["pooling"] = _POOLINGS.index(vectorizer.pooling)
-        if vectorizer.standardizer is not None:
-            blocks["mean"] = vectorizer.standardizer.mean
-            blocks["std"] = vectorizer.standardizer.std
+        blocks["mean"] = vectorizer.standardizer.mean
+        blocks["std"] = vectorizer.standardizer.std
     kind_tag = detector.kind.encode("ascii").ljust(8, b"\x00")
     header = MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + kind_tag + detector.config_digest
     Path(path).write_bytes(header + encode_blocks(blocks, header))
@@ -257,17 +219,10 @@ def restore(path) -> Detector:
     detector.train_time_s = float(block(blocks, "train_time_s", path, ndim=0))
     detector.config_digest = digest
     if hasattr(detector, "vectorizer"):
-        code = int(block(blocks, "pooling", path, "<i8", ndim=0))
-        if not 0 <= code < len(_POOLINGS):
-            raise CorruptModelFileError(f"{path}: unknown pooling code {code}")
-        standardizer = None
-        if "mean" in blocks:
-            standardizer = Standardizer(
-                mean=block(blocks, "mean", path, ndim=1).copy(),
-                std=block(blocks, "std", path, ndim=1).copy(),
-            )
-        detector.vectorizer = Vectorizer(pooling=_POOLINGS[code], standardize=standardizer is not None)
-        detector.vectorizer.standardizer = standardizer
+        detector.vectorizer.standardizer = Standardizer(
+            mean=block(blocks, "mean", path, ndim=1).copy(),
+            std=block(blocks, "std", path, ndim=1).copy(),
+        )
     return detector
 
 

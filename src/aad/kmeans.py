@@ -17,7 +17,6 @@ from .detector_api import (
     AnomalyScoreSeries,
     Detector,
     Vectorizer,
-    _as_rows,
     _sq_distances,
     check_dim,
 )
@@ -58,7 +57,7 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
     reached. inertia_history holds the nearest-centroid SSE before each
     update plus the final value; it is non-increasing.
     """
-    rows, _ = _as_rows(X)
+    rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if n < k:
         raise TooFewSamplesError(f"{n} rows < k = {k}")
@@ -109,10 +108,10 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
 
 def kmeans_score(model: KMeansModel, X) -> AnomalyScoreSeries:
     """Euclidean distance from each row to its nearest centroid."""
-    rows, origins = _as_rows(X)
+    rows = np.asarray(X, dtype=np.float64)
     check_dim(model.centroids.shape[1], rows.shape[1])
     d2 = _sq_distances(rows, model.centroids)
-    return AnomalyScoreSeries(scores=np.sqrt(d2.min(axis=1)), origin_columns=origins)
+    return AnomalyScoreSeries(scores=np.sqrt(d2.min(axis=1)))
 
 
 class KMeansDetector(Detector):
@@ -120,14 +119,13 @@ class KMeansDetector(Detector):
 
     kind = KIND_KMEANS
 
-    def __init__(self, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int = 0,
-                 pooling: str = "flatten", standardize: bool = True):
+    def __init__(self, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int = 0):
         super().__init__()
         self.k = k
         self.max_iter = max_iter
         self.tol = tol
         self.seed = seed
-        self.vectorizer = Vectorizer(pooling=pooling, standardize=standardize)
+        self.vectorizer = Vectorizer()
         self.model: KMeansModel | None = None
 
     def fit(self, frames) -> "KMeansDetector":

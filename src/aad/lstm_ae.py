@@ -55,7 +55,6 @@ class LstmAeModel:
 
 @dataclass(frozen=True)
 class ReconstructionBatch:
-    inputs: np.ndarray           # [B x T x M]
     reconstructions: np.ndarray  # [B x T x M]
     mse: np.ndarray              # [B]
 
@@ -203,7 +202,7 @@ def lstm_ae_forward(model: LstmAeModel, frames) -> ReconstructionBatch:
         raise ShapeMismatchError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
     Y, _, _, _ = _forward(model, X, want_caches=False)
     mse = np.mean((Y - X) ** 2, axis=(1, 2))
-    return ReconstructionBatch(inputs=X, reconstructions=Y, mse=mse)
+    return ReconstructionBatch(reconstructions=Y, mse=mse)
 
 
 def lstm_ae_train(
@@ -294,12 +293,7 @@ def lstm_ae_score(model: LstmAeModel, frames, block: int = 512) -> AnomalyScoreS
     for start in range(0, X.shape[0], block):
         chunk = X[start : start + block]
         scores[start : start + block] = lstm_ae_forward(model, chunk).mse
-    origins = (
-        frames.origin_columns
-        if isinstance(frames, FrameTensor)
-        else np.arange(X.shape[0], dtype=np.int64)
-    )
-    return AnomalyScoreSeries(scores=scores, origin_columns=origins)
+    return AnomalyScoreSeries(scores=scores)
 
 
 class LstmAeDetector(Detector):

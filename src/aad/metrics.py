@@ -116,10 +116,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 def timed(run: Callable[[], Any]) -> tuple[Any, float]:
     """Run a zero-argument procedure and return (result, wall seconds).
 
-    Monotonic clock, reported to millisecond resolution. Callers pass
-    preloaded inputs so data loading never lands inside the measurement.
+    Monotonic clock at full resolution. Callers pass preloaded inputs so
+    data loading never lands inside the measurement.
     """
     start = time.perf_counter()
     result = run()
-    elapsed = time.perf_counter() - start
-    return result, round(elapsed, 3)
+    return result, time.perf_counter() - start

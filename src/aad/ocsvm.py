@@ -22,7 +22,6 @@ from .detector_api import (
     AnomalyScoreSeries,
     Detector,
     Vectorizer,
-    _as_rows,
     _sq_distances,
     check_dim,
 )
@@ -80,7 +79,7 @@ def ocsvm_fit(
     returns the current model with a NonConvergenceWarning and the final
     violation recorded.
     """
-    rows, _ = _as_rows(X)
+    rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if n < 1:
         raise TooFewSamplesError("need at least one training row")
@@ -189,9 +188,9 @@ def ocsvm_decision(model: OcSvmModel, rows: np.ndarray, block: int = 2048) -> np
 
 def ocsvm_score(model: OcSvmModel, X) -> AnomalyScoreSeries:
     """rho - g(x): positive means outside the learned normal region."""
-    rows, origins = _as_rows(X)
+    rows = np.asarray(X, dtype=np.float64)
     check_dim(model.support_vectors.shape[1], rows.shape[1])
-    return AnomalyScoreSeries(scores=model.rho - ocsvm_decision(model, rows), origin_columns=origins)
+    return AnomalyScoreSeries(scores=model.rho - ocsvm_decision(model, rows))
 
 
 class OcSvmDetector(Detector):
@@ -199,14 +198,13 @@ class OcSvmDetector(Detector):
 
     kind = KIND_OCSVM
 
-    def __init__(self, nu: float = 0.1, gamma="scale", tol: float = 1e-3, max_passes: int = 50,
-                 pooling: str = "flatten", standardize: bool = True):
+    def __init__(self, nu: float = 0.1, gamma="scale", tol: float = 1e-3, max_passes: int = 50):
         super().__init__()
         self.nu = nu
         self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-        self.vectorizer = Vectorizer(pooling=pooling, standardize=standardize)
+        self.vectorizer = Vectorizer()
         self.model: OcSvmModel | None = None
 
     def fit(self, frames) -> "OcSvmDetector":

@@ -3,14 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from aad.cli import main, read_calibration_threshold, read_matrix, read_vector, write_matrix
+from aad.cli import main, read_calibration_threshold, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
 from aad.errors import ManifestError
 from aad.features import load_frames
 
-from conftest import write_frame_archive
+from conftest import random_frames, write_frame_archive
 
 pytestmark = pytest.mark.cli
+
+
+def read_matrix(path) -> tuple[str, np.ndarray]:
+    """Name and values of a matrix file written by write_matrix."""
+    lines = path.read_text().splitlines()
+    name, rows, cols = lines[0].lstrip("# ").split()
+    m = np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
+    assert m.shape == (int(rows), int(cols))
+    return name, m
 
 
 @pytest.fixture(scope="session")
@@ -72,6 +81,16 @@ class TestSynth:
               "--normal-s", "20", "--anomalous-s", "8", "--rate", "30"])
         for name in ("train.wav", "val.wav", "calib.wav", "test.wav", "test.labels"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_config_seed_drives_the_data(self, tmp_path):
+        cfg = tmp_path / "seed5.txt"
+        cfg.write_text("seed = 5\n")
+        sizes = ["--normal-s", "20", "--anomalous-s", "8", "--rate", "30"]
+        assert main(["synth", "--out", str(tmp_path / "a"), "--config", str(cfg), *sizes]) == 0
+        assert main(["synth", "--out", str(tmp_path / "b"), "--seed", "5", *sizes]) == 0
+        for name in ("train.wav", "val.wav", "calib.wav", "test.wav", "test.labels", "config.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert load_config(tmp_path / "a" / "config.txt").seed == 5
 
     def test_split_durations_follow_ratios(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "d"), "--seed", "5",
@@ -210,6 +229,16 @@ class TestCorruptInputs:
         assert rc == 3
         # main prefixes every failure with "error: "; the stage tag follows it
         assert capsys.readouterr().err.startswith("error: score:")
+
+    @pytest.mark.parametrize("kind", ["kmeans", "ocsvm"])
+    def test_archive_of_another_geometry_is_a_data_error(self, tiny_bench, tmp_path, capsys, kind):
+        frames = tmp_path / "small.frames"
+        write_frame_archive(frames, random_frames(num_frames=10, n_mels=5, frame_size=4))
+        capsys.readouterr()
+        rc = main(["score", "--model", str(tiny_bench / f"{kind}.model"),
+                   "--frames", str(frames), "--out", str(tmp_path / "s.scores")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: score: feature dimension 20 != model dimension")
 
     @pytest.mark.parametrize("flag, text", [
         ("--scores", "0.5\nabc\n"),

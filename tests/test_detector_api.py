@@ -6,8 +6,6 @@ from aad.detector_api import (
     KIND_LSTM_AE,
     KIND_OCSVM,
     MODEL_VERSION,
-    POOL_FLATTEN,
-    POOL_MEAN_TIME,
     Vectorizer,
     persist,
     read_model_header,
@@ -25,30 +23,20 @@ from conftest import random_frames
 class TestVectorizer:
     def test_flatten_shape(self):
         frames = random_frames(num_frames=7, n_mels=128, frame_size=16)
-        rows = Vectorizer(POOL_FLATTEN, standardize=False).fit(frames).rows
+        rows = Vectorizer().fit(frames)
         assert rows.shape == (7, 2048)
 
     def test_flatten_is_row_major(self):
         frames = random_frames(num_frames=3, n_mels=4, frame_size=5, seed=9)
-        rows = Vectorizer(POOL_FLATTEN, standardize=False).fit(frames).rows
-        assert np.array_equal(rows[1], frames.frames[1].ravel())
-
-    def test_mean_pool_constant_frame(self):
-        from aad.features import FrameTensor
-
-        frames = FrameTensor(
-            frames=np.full((2, 128, 6), 0.37), frame_size=6, hop_size=3,
-            origin_columns=np.array([0, 3]), sample_rate=16000, hop_length=512,
-        )
-        rows = Vectorizer(POOL_MEAN_TIME, standardize=False).fit(frames).rows
-        assert rows.shape == (2, 128)
-        assert rows == pytest.approx(np.full((2, 128), 0.37))
+        vec = Vectorizer()
+        vec.fit(frames)
+        assert np.array_equal(vec.standardizer.mean, frames.frames.mean(axis=0).ravel())
 
     def test_standardized_training_stats(self):
         frames = random_frames(num_frames=50, n_mels=6, frame_size=4, seed=2)
-        X = Vectorizer(POOL_FLATTEN, standardize=True).fit(frames)
-        assert np.abs(X.rows.mean(axis=0)).max() < 1e-9
-        assert np.abs(X.rows.var(axis=0) - 1.0).max() < 1e-6
+        rows = Vectorizer().fit(frames)
+        assert np.abs(rows.mean(axis=0)).max() < 1e-9
+        assert np.abs(rows.var(axis=0) - 1.0).max() < 1e-6
 
     def test_zero_variance_column_maps_to_zero(self):
         from aad.features import FrameTensor
@@ -60,23 +48,23 @@ class TestVectorizer:
             frames=values, frame_size=base.frame_size, hop_size=base.hop_size,
             origin_columns=base.origin_columns, sample_rate=16000, hop_length=512,
         )
-        vec = Vectorizer(POOL_FLATTEN, standardize=True)
-        X = vec.fit(frames)
-        assert np.all(X.rows[:, 0] == 0.0)
+        vec = Vectorizer()
+        rows = vec.fit(frames)
+        assert np.all(rows[:, 0] == 0.0)
         other = random_frames(num_frames=4, n_mels=3, frame_size=2, seed=4)
-        assert np.all(vec.transform(other).rows[:, 0] == 0.0)
+        assert np.all(vec.transform(other)[:, 0] == 0.0)
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(StandardizerMissingError):
-            Vectorizer(POOL_FLATTEN, standardize=True).transform(random_frames())
+            Vectorizer().transform(random_frames())
 
     def test_transform_reuses_fitted_stats(self):
         train = random_frames(num_frames=30, n_mels=5, frame_size=3, seed=5)
-        vec = Vectorizer(POOL_FLATTEN, standardize=True)
+        vec = Vectorizer()
         vec.fit(train)
         test = random_frames(num_frames=8, n_mels=5, frame_size=3, seed=6)
         expected = vec.standardizer.apply(test.frames.reshape(8, -1).copy())
-        assert np.array_equal(vec.transform(test).rows, expected)
+        assert np.array_equal(vec.transform(test), expected)
 
 
 def _fitted_detectors(frames):
