@@ -8,7 +8,7 @@ end-to-end flow.
 
 from .audio_io import AudioClip, NoiseProfile, estimate_noise_profile, load_wav, rms_normalize, save_wav, spectral_gate
 from .calibration import CalibrationResult, ThresholdCandidate, percentile, select_by_f1, sweep_thresholds
-from .detector_api import AnomalyScoreSeries, Detector, Standardizer, Vectorizer, persist, read_model_header, restore
+from .detector_api import AnomalyScoreSeries, Detector, Vectorizer, persist, read_model_header, restore
 from .features import (
     DB_FLOOR,
     FrameTensor,

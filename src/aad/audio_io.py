@@ -141,25 +141,14 @@ def load_wav(path) -> AudioClip:
     return AudioClip(samples=mono, sample_rate=int(sample_rate))
 
 
-def save_wav(clip: AudioClip, path, encoding: str = "pcm16") -> None:
-    """Write a clip as PCM 16-bit or IEEE float 32-bit WAV."""
-    if encoding == "pcm16":
-        fmt_code, bits = _PCM, 16
-        ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
-        payload = ints.astype("<i2").tobytes()
-    elif encoding == "float32":
-        fmt_code, bits = _IEEE_FLOAT, 32
-        payload = clip.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-
-    block_align = bits // 8
-    byte_rate = clip.sample_rate * block_align
-    fmt = struct.pack("<HHIIHH", fmt_code, 1, clip.sample_rate, byte_rate, block_align, bits)
+def save_wav(clip: AudioClip, path) -> None:
+    """Write a clip as mono PCM 16-bit WAV."""
+    ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
+    payload = ints.astype("<i2").tobytes()
+    # format code, channels, sample rate, byte rate, block align, bits per sample
+    fmt = struct.pack("<HHIIHH", _PCM, 1, clip.sample_rate, 2 * clip.sample_rate, 2, 16)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        body += b"\x00"
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -233,13 +234,13 @@ def train_detector(kind: str, cfg: RunConfig, frames: feat.FrameTensor, path):
     return detector
 
 
-def calibrate_detector(detector, cfg: RunConfig, val_frames, calib_frames, calib_labels, path) -> float:
-    """Threshold from validation-score percentiles, written as a calibration report.
+def calibrate_detector(detector, val_frames, calib_frames, calib_labels, path) -> float:
+    """Threshold from the DEFAULT_GRID percentiles of the validation scores, written as a calibration report.
 
     With calib labels the candidate with the best calib F1 wins; without them
     the highest-percentile candidate does.
     """
-    candidates = sweep_thresholds(detector.score(val_frames).scores, grid=cfg.grid())
+    candidates = sweep_thresholds(detector.score(val_frames).scores)
     if calib_labels is not None:
         result = select_by_f1(detector.score(calib_frames).scores, calib_labels, candidates)
         write_calibration_report(path, "f1", result.threshold, result.percentile, result.f1, result.sweep)
@@ -292,7 +293,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_run_config(args)
     with _stage("calibrate"):
         detector = restore(args.model)
         val_frames = feat.load_frames(args.val_frames)
@@ -300,7 +300,7 @@ def cmd_calibrate(args) -> int:
         if args.calib_frames and args.calib_labels:
             calib_frames = feat.load_frames(args.calib_frames)
             calib_labels = frame_labels(read_intervals(args.calib_labels), calib_frames)
-        threshold = calibrate_detector(detector, cfg, val_frames, calib_frames, calib_labels, args.out)
+        threshold = calibrate_detector(detector, val_frames, calib_frames, calib_labels, args.out)
     print(f"threshold {threshold:.6g} -> {args.out}")
     return 0
 
@@ -313,7 +313,7 @@ def cmd_eval(args) -> int:
         labels = read_vector(args.labels).astype(int)
         threshold = args.threshold if args.threshold is not None else read_calibration_threshold(args.calibration)
         report = evaluate(args.method, labels, scores, threshold)
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n")
     print(f"roc_auc {report.roc_auc:.4f} precision {report.precision:.4f} "
           f"recall {report.recall:.4f} f1 {report.f1:.4f}")
     return 0
@@ -348,6 +348,11 @@ def cmd_inspect(args) -> int:
 # --- bench ------------------------------------------------------------------
 
 def _split_records(records: list[ManifestRecord]) -> dict[str, list[ManifestRecord]]:
+    """Group records by split; stems must be unique, as each names a <stem>.frames archive."""
+    stems = [rec.wav.stem for rec in records]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:
+        raise ManifestError(f"records share the file stem(s) {', '.join(shared)}; their archives would collide")
     by_split: dict[str, list[ManifestRecord]] = {}
     for rec in records:
         by_split.setdefault(rec.split, []).append(rec)
@@ -435,7 +440,7 @@ def cmd_bench(args) -> int:
             detector = train_detector(kind, cfg, train_frames, out / f"{kind}.model")
         with _stage(f"calibrate[{kind}]"):
             threshold = calibrate_detector(
-                detector, cfg, val_frames, calib_frames, calib_labels, out / f"{kind}.calibration"
+                detector, val_frames, calib_frames, calib_labels, out / f"{kind}.calibration"
             )
         with _stage(f"score[{kind}]"):
             series, infer_time = timed(lambda: detector.score(test_frames))
@@ -449,7 +454,7 @@ def cmd_bench(args) -> int:
     payload = {
         "config_digest": cfg.digest_hex(),
         "seed": cfg.seed,
-        "rows": [r.to_dict() for r in reports],
+        "rows": [dataclasses.asdict(r) for r in reports],
     }
     (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     (out / "report.txt").write_text(_format_report_table(reports))

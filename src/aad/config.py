@@ -41,13 +41,7 @@ class RunConfig:
     lstm_epochs: int = 30
     lstm_batch: int = 64
     lstm_lr: float = 1e-3
-    grid_lo: int = 5
-    grid_hi: int = 95
-    grid_step: int = 5
     seed: int = 0
-
-    def grid(self) -> tuple[int, ...]:
-        return tuple(range(self.grid_lo, self.grid_hi + 1, self.grid_step))
 
     def canonical_lines(self) -> list[str]:
         lines = []

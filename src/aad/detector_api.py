@@ -33,28 +33,6 @@ KIND_LSTM_AE = "lstmae"
 
 
 @dataclass(frozen=True)
-class Standardizer:
-    """Per-dimension mean/std fitted on training rows.
-
-    Zero-variance dimensions are mapped to 0 on every input (they carry no
-    information and would otherwise divide by zero).
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        safe = np.where(self.std > 0, self.std, 1.0)
-        z = (rows - self.mean) / safe
-        z[:, self.std == 0] = 0.0
-        return z
-
-    @staticmethod
-    def fit(rows: np.ndarray) -> "Standardizer":
-        return Standardizer(mean=rows.mean(axis=0), std=rows.std(axis=0))
-
-
-@dataclass(frozen=True)
 class AnomalyScoreSeries:
     """One score per frame; higher means more anomalous."""
 
@@ -80,24 +58,37 @@ class Vectorizer:
     """Standardized frame rows for K-Means and OC-SVM.
 
     Each frame is flattened row-major ([n_mels x frame_size] -> one row).
-    fit() learns per-dimension statistics from training frames; transform()
-    reuses them and refuses to run before fitting or on rows of another width.
+    fit() learns the frame shape and per-dimension mean/std from training
+    frames; transform() reuses them and refuses to run before fitting or on
+    frames of another shape. Zero-variance dimensions are mapped to 0 on
+    every input (they carry no information and would otherwise divide by zero).
     """
 
     def __init__(self):
-        self.standardizer: Standardizer | None = None
+        self.mean: np.ndarray | None = None
+        self.std: np.ndarray | None = None
+        self.frame_shape: tuple[int, ...] | None = None  # None: a model file that predates it
 
     def fit(self, frames: FrameTensor) -> np.ndarray:
         rows = frames.frames.reshape(frames.num_frames, -1)
-        self.standardizer = Standardizer.fit(rows)
-        return self.standardizer.apply(rows)
+        self.mean, self.std = rows.mean(axis=0), rows.std(axis=0)
+        self.frame_shape = frames.frames.shape[1:]
+        return self._standardize(rows)
 
     def transform(self, frames: FrameTensor) -> np.ndarray:
-        if self.standardizer is None:
+        if self.mean is None:
             raise StandardizerMissingError("transform before fit: no stored statistics")
         rows = frames.frames.reshape(frames.num_frames, -1)
-        check_dim(self.standardizer.mean.size, rows.shape[1])
-        return self.standardizer.apply(rows)
+        check_dim(self.mean.size, rows.shape[1])
+        shape = frames.frames.shape[1:]
+        if self.frame_shape is not None and shape != self.frame_shape:
+            raise DimensionMismatchError(f"frame shape {shape} != model frame shape {self.frame_shape}")
+        return self._standardize(rows)
+
+    def _standardize(self, rows: np.ndarray) -> np.ndarray:
+        z = (rows - self.mean) / np.where(self.std > 0, self.std, 1.0)
+        z[:, self.std == 0] = 0.0
+        return z
 
 
 class Detector:
@@ -132,7 +123,8 @@ def persist(detector: Detector, path) -> None:
     The model dataclass's annotations fix each block's type: int and bool
     fields are "<i8" scalars, float fields "<f8" scalars, tuples and arrays
     "<f8", and a dict field one scalar per key ("extra.objective"). The
-    detector adds train_time_s and, with a vectorizer, its mean and std.
+    detector adds train_time_s and, with a vectorizer, its mean, std and
+    frame_shape.
     """
     model = detector.model
     if model is None:
@@ -147,8 +139,10 @@ def persist(detector: Detector, path) -> None:
             blocks[f.name] = hint(value) if hint in _SCALAR_DTYPES else value
     vectorizer = getattr(detector, "vectorizer", None)
     if vectorizer is not None:
-        blocks["mean"] = vectorizer.standardizer.mean
-        blocks["std"] = vectorizer.standardizer.std
+        blocks["mean"] = vectorizer.mean
+        blocks["std"] = vectorizer.std
+        if vectorizer.frame_shape is not None:
+            blocks["frame_shape"] = vectorizer.frame_shape
     kind_tag = detector.kind.encode("ascii").ljust(8, b"\x00")
     header = MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + kind_tag + detector.config_digest
     Path(path).write_bytes(header + encode_blocks(blocks, header))
@@ -219,10 +213,11 @@ def restore(path) -> Detector:
     detector.train_time_s = float(block(blocks, "train_time_s", path, ndim=0))
     detector.config_digest = digest
     if hasattr(detector, "vectorizer"):
-        detector.vectorizer.standardizer = Standardizer(
-            mean=block(blocks, "mean", path, ndim=1).copy(),
-            std=block(blocks, "std", path, ndim=1).copy(),
-        )
+        vectorizer = detector.vectorizer
+        vectorizer.mean = block(blocks, "mean", path, ndim=1).copy()
+        vectorizer.std = block(blocks, "std", path, ndim=1).copy()
+        if "frame_shape" in blocks:
+            vectorizer.frame_shape = tuple(block(blocks, "frame_shape", path, "<i8", ndim=1).tolist())
     return detector
 
 

@@ -185,21 +185,28 @@ def _loss_and_grads(model: LstmAeModel, X: np.ndarray):
     return loss, grads
 
 
-def _batch_from(frames) -> np.ndarray:
-    """Accept a FrameTensor or a [B x T x M] array; return time-major float64."""
+def _model_batch(model: LstmAeModel, frames) -> np.ndarray:
+    """Accept a FrameTensor or a [B x T x M] array; return time-major float64 of the model's width."""
     if isinstance(frames, FrameTensor):
-        return np.ascontiguousarray(frames.frames.transpose(0, 2, 1))
-    arr = np.asarray(frames, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(f"expected a 3-D batch, got shape {arr.shape}")
-    return arr
+        X = np.ascontiguousarray(frames.frames.transpose(0, 2, 1))
+    else:
+        X = np.asarray(frames, dtype=np.float64)
+        if X.ndim != 3:
+            raise ShapeMismatchError(f"expected a 3-D batch, got shape {X.shape}")
+    if X.shape[2] != model.input_dim:
+        raise ShapeMismatchError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
+    return X
+
+
+def _finish(model: LstmAeModel, history: list[float], batch: int, lr: float, seed: int) -> LstmAeModel:
+    """The trained model with its loss history and training settings recorded."""
+    return replace(model, loss_history=tuple(history), final_loss=history[-1],
+                   epochs=len(history) - 1, batch_size=batch, learning_rate=lr, seed=seed)
 
 
 def lstm_ae_forward(model: LstmAeModel, frames) -> ReconstructionBatch:
     """Reconstruct a batch and report per-frame MSE (mean over time and bands)."""
-    X = _batch_from(frames)
-    if X.shape[2] != model.input_dim:
-        raise ShapeMismatchError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
+    X = _model_batch(model, frames)
     Y, _, _, _ = _forward(model, X, want_caches=False)
     mse = np.mean((Y - X) ** 2, axis=(1, 2))
     return ReconstructionBatch(reconstructions=Y, mse=mse)
@@ -220,9 +227,7 @@ def lstm_ae_train(
     epoch e. A non-finite batch loss aborts training and returns the last
     finite end-of-epoch checkpoint with a warning.
     """
-    X = _batch_from(frames)
-    if X.shape[2] != model.input_dim:
-        raise ShapeMismatchError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
+    X = _model_batch(model, frames)
     n = X.shape[0]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -241,7 +246,6 @@ def lstm_ae_train(
     for _ in range(epochs):
         order = rng.permutation(n)
         batch_losses: list[float] = []
-        aborted = False
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             loss, grads = _loss_and_grads(current, X[idx])
@@ -250,8 +254,7 @@ def lstm_ae_train(
                     f"non-finite loss at epoch {len(history)}; keeping last finite checkpoint",
                     NonFiniteLossWarning,
                 )
-                aborted = True
-                break
+                return _finish(checkpoint, checkpoint_history, batch, lr, seed)
             batch_losses.append(loss)
             step += 1
             for key in _PARAM_NAMES:
@@ -261,34 +264,17 @@ def lstm_ae_train(
                 m_hat = m_state[key] / (1 - beta1**step)
                 v_hat = v_state[key] / (1 - beta2**step)
                 params[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        if aborted:
-            final = checkpoint
-            final.loss_history = tuple(checkpoint_history)
-            final.final_loss = checkpoint_history[-1]
-            final.epochs = len(checkpoint_history) - 1
-            final.batch_size = batch
-            final.learning_rate = lr
-            final.seed = seed
-            return final
         history.append(float(np.mean(batch_losses)))
         if all(np.isfinite(p).all() for p in params.values()):
             checkpoint = current.copy()
             checkpoint_history = list(history)
 
-    current.loss_history = tuple(history)
-    current.final_loss = history[-1]
-    current.epochs = epochs
-    current.batch_size = batch
-    current.learning_rate = lr
-    current.seed = seed
-    return current
+    return _finish(current, history, batch, lr, seed)
 
 
 def lstm_ae_score(model: LstmAeModel, frames, block: int = 512) -> AnomalyScoreSeries:
     """Per-frame reconstruction MSE, evaluated in blocks."""
-    X = _batch_from(frames)
-    if X.shape[2] != model.input_dim:
-        raise ShapeMismatchError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
+    X = _model_batch(model, frames)
     scores = np.empty(X.shape[0])
     for start in range(0, X.shape[0], block):
         chunk = X[start : start + block]

@@ -26,9 +26,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -43,19 +40,6 @@ class EvalReport:
     f1: float
     confusion: ConfusionMatrix
     threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "train_time_s": self.train_time_s,
-            "inference_time_s": self.inference_time_s,
-            "roc_auc": self.roc_auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "confusion": self.confusion.to_dict(),
-            "threshold": self.threshold,
-        }
 
 
 def confusion(labels, predictions) -> ConfusionMatrix:

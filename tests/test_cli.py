@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from aad.calibration import DEFAULT_GRID
 from aad.cli import main, read_calibration_threshold, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
 from aad.errors import ManifestError
@@ -230,15 +232,23 @@ class TestCorruptInputs:
         # main prefixes every failure with "error: "; the stage tag follows it
         assert capsys.readouterr().err.startswith("error: score:")
 
-    @pytest.mark.parametrize("kind", ["kmeans", "ocsvm"])
-    def test_archive_of_another_geometry_is_a_data_error(self, tiny_bench, tmp_path, capsys, kind):
-        frames = tmp_path / "small.frames"
-        write_frame_archive(frames, random_frames(num_frames=10, n_mels=5, frame_size=4))
+    @pytest.mark.parametrize("kind, n_mels, frame_size, message", [
+        pytest.param(kind, 5, 4, "feature dimension 20 != model dimension", id=kind)
+        for kind in ("kmeans", "ocsvm")
+    ] + [
+        # same number of values as the 128 x 16 training frames, another shape
+        pytest.param(kind, 16, 128, "frame shape (16, 128) != model frame shape (128, 16)", id=f"{kind}-transposed")
+        for kind in ("kmeans", "ocsvm")
+    ])
+    def test_archive_of_another_geometry_is_a_data_error(self, tiny_bench, tmp_path, capsys,
+                                                         kind, n_mels, frame_size, message):
+        frames = tmp_path / "other.frames"
+        write_frame_archive(frames, random_frames(num_frames=10, n_mels=n_mels, frame_size=frame_size))
         capsys.readouterr()
         rc = main(["score", "--model", str(tiny_bench / f"{kind}.model"),
                    "--frames", str(frames), "--out", str(tmp_path / "s.scores")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("error: score: feature dimension 20 != model dimension")
+        assert capsys.readouterr().err.startswith(f"error: score: {message}")
 
     @pytest.mark.parametrize("flag, text", [
         ("--scores", "0.5\nabc\n"),
@@ -352,7 +362,7 @@ class TestConfig:
         assert cfg.lstm_epochs == 30
         assert cfg.lstm_batch == 64
         assert cfg.lstm_lr == 1e-3
-        assert cfg.grid() == tuple(range(5, 100, 5))
+        assert DEFAULT_GRID == tuple(range(5, 100, 5))
         assert cfg.denoise is False
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -394,6 +404,53 @@ class TestManifest:
         bad.write_text("a.wav\ttrain\ta.labels\n")
         rc = main(["bench", "--manifest", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_shared_stem_is_a_manifest_error(self, tiny_dataset, tmp_path, capsys):
+        # x/rec.wav and y/rec.wav would both write rec.frames into the bench directory
+        for sub, split in (("x", "train"), ("y", "val")):
+            (tmp_path / sub).mkdir()
+            shutil.copy(tiny_dataset / f"{split}.wav", tmp_path / sub / "rec.wav")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"x/rec.wav\ttrain\ny/rec.wav\tval\n"
+                            f"{tiny_dataset / 'test.wav'}\ttest\t{tiny_dataset / 'test.labels'}\n")
+        capsys.readouterr()
+        rc = main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                   "--config", str(tiny_dataset / "fast.txt")])
+        assert rc == 3
+        assert "share the file stem(s) rec;" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "rec.frames").exists()
+
+    def test_bench_stacks_the_records_of_a_split(self, tiny_dataset, tmp_path):
+        from aad.audio_io import AudioClip, load_wav, save_wav
+        from aad.detector_api import restore
+        from aad.features import FrameTensor
+        from aad.kmeans import KMeansDetector
+
+        clip = load_wav(tiny_dataset / "train.wav")
+        half = clip.samples.size // 2
+        for name, samples in (("train_a", clip.samples[:half]), ("train_b", clip.samples[half:])):
+            save_wav(AudioClip(samples=samples, sample_rate=clip.sample_rate), tmp_path / f"{name}.wav")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"train_a.wav\ttrain\ntrain_b.wav\ttrain\n"
+                            f"{tiny_dataset / 'val.wav'}\tval\n"
+                            f"{tiny_dataset / 'test.wav'}\ttest\t{tiny_dataset / 'test.labels'}\n")
+        out = tmp_path / "o"
+        cfg = tiny_dataset / "fast.txt"
+        assert main(["bench", "--manifest", str(manifest), "--out", str(out), "--config", str(cfg)]) == 0
+
+        parts = [load_frames(out / f"{name}.frames") for name in ("train_a", "train_b")]
+        stacked = FrameTensor(
+            frames=np.concatenate([p.frames for p in parts]), frame_size=parts[0].frame_size,
+            hop_size=parts[0].hop_size, origin_columns=np.concatenate([p.origin_columns for p in parts]),
+            sample_rate=parts[0].sample_rate, hop_length=parts[0].hop_length,
+        )
+        config = load_config(cfg)
+        direct = KMeansDetector(k=config.kmeans_k, max_iter=config.kmeans_max_iter,
+                                tol=config.kmeans_tol, seed=config.seed).fit(stacked)
+        restored = restore(out / "kmeans.model")
+        assert restored.model.centroids.shape[0] == config.kmeans_k
+        assert np.array_equal(restored.model.centroids, direct.model.centroids)
+        assert np.array_equal(restored.vectorizer.mean, direct.vectorizer.mean)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
