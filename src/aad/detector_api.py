@@ -18,6 +18,7 @@ from .blocks import block, decode_blocks, encode_blocks
 from .errors import (
     CorruptModelFileError,
     DimensionMismatchError,
+    NonFiniteScoresError,
     StandardizerMissingError,
     VersionMismatchError,
 )
@@ -41,14 +42,15 @@ class AnomalyScoreSeries:
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
         if not np.all(np.isfinite(s)):
-            raise ValueError("scores must be finite")
+            raise NonFiniteScoresError("scores must be finite")
         object.__setattr__(self, "scores", s)
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _sq_distances(A: np.ndarray, B: np.ndarray, a_sq=None, b_sq=None) -> np.ndarray:
+    """Row-pair squared distances; a_sq / b_sq reuse np.sum(A**2, axis=1) / np.sum(B**2, axis=1)."""
     d2 = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
+        (np.sum(A**2, axis=1) if a_sq is None else a_sq)[:, None]
+        + (np.sum(B**2, axis=1) if b_sq is None else b_sq)[None, :]
         - 2.0 * A @ B.T
     )
     return np.maximum(d2, 0.0)

@@ -83,6 +83,10 @@ class DimensionMismatchError(PipelineError):
     pass
 
 
+class NonFiniteScoresError(NumericError):
+    pass
+
+
 # detectors
 class TooFewSamplesError(PipelineError):
     pass

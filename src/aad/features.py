@@ -13,6 +13,7 @@ agrees:
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -218,6 +219,12 @@ def mel_filterbank(
     return MelFilterbank(weights=weights, sample_rate=sample_rate, n_fft=n_fft, fmin=fmin, fmax=float(fmax))
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax) -> MelFilterbank:
+    """One read-only mel_filterbank per parameter set, reused by every frame_pipeline call."""
+    return mel_filterbank(sample_rate, n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
+
+
 def mel_power(stft_matrix: StftMatrix, fb: MelFilterbank) -> MelSpectrogram:
     """Mel power M(m, n) = sum_k H_m(k) |STFT(n, k)|^2."""
     if fb.n_fft != stft_matrix.n_fft or fb.sample_rate != stft_matrix.sample_rate:
@@ -354,7 +361,7 @@ def frame_pipeline(
     if target_rms is not None:
         clip = rms_normalize(clip, target_rms).clip
     spec = stft(clip, n_fft=n_fft, hop_length=hop_length)
-    fb = mel_filterbank(clip.sample_rate, n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
+    fb = _shared_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
     mel_db = power_to_db(mel_power(spec, fb))
     if denoise:
         profile = estimate_noise_profile(mel_db, denoise_percentile, margin_db=denoise_margin_db)

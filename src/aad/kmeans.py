@@ -74,8 +74,9 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
     centroids = kmeans_pp_init(rows, k, rng)
     history: list[float] = []
     iterations = 0
+    rows_sq = np.sum(rows**2, axis=1)
     for _ in range(max_iter):
-        d2 = _sq_distances(rows, centroids)
+        d2 = _sq_distances(rows, centroids, a_sq=rows_sq)
         labels = np.argmin(d2, axis=1)
         min_d2 = d2[np.arange(n), labels]
         history.append(float(min_d2.sum()))
@@ -97,7 +98,7 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
         if shift < tol:
             break
 
-    d2 = _sq_distances(rows, centroids)
+    d2 = _sq_distances(rows, centroids, a_sq=rows_sq)
     inertia = float(d2.min(axis=1).sum())
     history.append(inertia)
     return KMeansModel(

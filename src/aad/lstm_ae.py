@@ -60,12 +60,9 @@ class ReconstructionBatch:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def lstm_ae_init(n_mels: int = 128, hidden: int = 64, seed: int = 0) -> LstmAeModel:
@@ -91,9 +88,8 @@ def lstm_ae_init(n_mels: int = 128, hidden: int = 64, seed: int = 0) -> LstmAeMo
 def _cell_forward(W, b, x_t, h_prev, c_prev, h):
     z = np.concatenate([x_t, h_prev], axis=1)
     a = z @ W.T + b
-    gi = _sigmoid(a[:, 0:h])
-    gf = _sigmoid(a[:, h : 2 * h])
-    go = _sigmoid(a[:, 2 * h : 3 * h])
+    s = _sigmoid(a[:, : 3 * h])
+    gi, gf, go = s[:, 0:h], s[:, h : 2 * h], s[:, 2 * h : 3 * h]
     gg = np.tanh(a[:, 3 * h : 4 * h])
     c = gf * c_prev + gi * gg
     tc = np.tanh(c)
@@ -104,15 +100,11 @@ def _cell_backward(W, cache, dh, dc_in, h):
     z, gi, gf, go, gg, c_prev, tc = cache
     do = dh * tc
     dc = dc_in + dh * go * (1.0 - tc * tc)
-    da = np.concatenate(
-        [
-            dc * gg * gi * (1.0 - gi),
-            dc * c_prev * gf * (1.0 - gf),
-            do * go * (1.0 - go),
-            dc * gi * (1.0 - gg * gg),
-        ],
-        axis=1,
-    )
+    da = np.empty((dh.shape[0], 4 * h))
+    np.multiply(dc * gg * gi, 1.0 - gi, out=da[:, 0:h])
+    np.multiply(dc * c_prev * gf, 1.0 - gf, out=da[:, h : 2 * h])
+    np.multiply(do * go, 1.0 - go, out=da[:, 2 * h : 3 * h])
+    np.multiply(dc * gi, 1.0 - gg * gg, out=da[:, 3 * h : 4 * h])
     dW = da.T @ z
     db = da.sum(axis=0)
     dz = da @ W
@@ -238,7 +230,7 @@ def lstm_ae_train(
     step = 0
     rng = np.random.default_rng(seed)
 
-    initial_loss = float(np.mean((lstm_ae_forward(current, X).mse)))
+    initial_loss = float(np.mean(_block_mse(current, X)))
     history: list[float] = [initial_loss]
     checkpoint = current.copy()
     checkpoint_history = list(history)
@@ -272,14 +264,17 @@ def lstm_ae_train(
     return _finish(current, history, batch, lr, seed)
 
 
+def _block_mse(model: LstmAeModel, X: np.ndarray, block: int = 512) -> np.ndarray:
+    """Per-frame reconstruction MSE, forwarded `block` frames at a time so memory stays bounded."""
+    mse = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], block):
+        mse[start : start + block] = lstm_ae_forward(model, X[start : start + block]).mse
+    return mse
+
+
 def lstm_ae_score(model: LstmAeModel, frames, block: int = 512) -> AnomalyScoreSeries:
     """Per-frame reconstruction MSE, evaluated in blocks."""
-    X = _model_batch(model, frames)
-    scores = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], block):
-        chunk = X[start : start + block]
-        scores[start : start + block] = lstm_ae_forward(model, chunk).mse
-    return AnomalyScoreSeries(scores=scores)
+    return AnomalyScoreSeries(scores=_block_mse(model, _model_batch(model, frames), block))
 
 
 class LstmAeDetector(Detector):

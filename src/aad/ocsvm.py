@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class OcSvmModel:
     iterations: int = 0
     extra: dict = field(default_factory=dict)
 
+    @cached_property
+    def sv_sq_norms(self) -> np.ndarray:
+        """Support-vector row norms, computed on first use (replace() the model to change its SVs)."""
+        return np.sum(self.support_vectors**2, axis=1)
+
 
 def resolve_gamma(gamma, rows: np.ndarray) -> float:
     """'scale' resolves to 1 / (d * var(X)); explicit positive floats pass through."""
@@ -54,9 +60,9 @@ def resolve_gamma(gamma, rows: np.ndarray) -> float:
     return g
 
 
-def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a - b||^2) for every row pair."""
-    return np.exp(-gamma * _sq_distances(A, B))
+def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float, b_sq=None) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) for every row pair; b_sq as in _sq_distances."""
+    return np.exp(-gamma * _sq_distances(A, B, b_sq=b_sq))
 
 
 # Kernel-row bytes one fit keeps; rows past it are recomputed when asked again.
@@ -117,7 +123,7 @@ def ocsvm_fit(
         return k
 
     nz = np.flatnonzero(alpha > 0)
-    grad = rbf_kernel_block(rows[nz], rows, g).T @ alpha[nz]
+    grad = rbf_kernel_block(rows[nz], rows, g, b_sq=sq_norms).T @ alpha[nz]
 
     max_iter = max_passes * n
     iterations = 0
@@ -181,8 +187,8 @@ def ocsvm_decision(model: OcSvmModel, rows: np.ndarray, block: int = 2048) -> np
     """g(x) = sum_j alpha_j k(x_j, x), evaluated in blocks."""
     out = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], block):
-        chunk = rows[start : start + block]
-        out[start : start + block] = rbf_kernel_block(chunk, model.support_vectors, model.gamma) @ model.alphas
+        kernel = rbf_kernel_block(rows[start : start + block], model.support_vectors, model.gamma, model.sv_sq_norms)
+        out[start : start + block] = kernel @ model.alphas
     return out
 
 

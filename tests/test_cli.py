@@ -7,6 +7,7 @@ import pytest
 from aad.calibration import DEFAULT_GRID
 from aad.cli import main, read_calibration_threshold, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
+from aad.detector_api import restore
 from aad.errors import ManifestError
 from aad.features import load_frames
 
@@ -249,6 +250,22 @@ class TestCorruptInputs:
                    "--frames", str(frames), "--out", str(tmp_path / "s.scores")])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: score: {message}")
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("kmeans", "centroids", np.nan),
+        ("ocsvm", "alphas", np.nan),
+        ("lstmae", "proj_b", 1e200),
+    ], ids=["kmeans", "ocsvm", "lstmae"])
+    def test_non_finite_scores_are_a_numeric_error(self, tiny_bench, tmp_path, capsys, kind, field, value):
+        detector = restore(tiny_bench / f"{kind}.model")
+        getattr(detector.model, field)[:] = value
+        detector.persist(tmp_path / "bad.model")
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["score", "--model", str(tmp_path / "bad.model"),
+                       "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: score: scores must be finite")
 
     @pytest.mark.parametrize("flag, text", [
         ("--scores", "0.5\nabc\n"),

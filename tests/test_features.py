@@ -329,6 +329,17 @@ class TestPipeline:
         assert np.unravel_index(np.argmax(db.values), db.values.shape) == argmax
         assert np.unravel_index(np.argmax(norm.values), norm.values.shape) == argmax
 
+    def test_shared_filterbank_matches_a_fresh_one(self, rng):
+        clip = make_clip(rng.uniform(-0.8, 0.8, 48000))
+        spec = F.stft(clip, n_fft=512, hop_length=256)
+        # the repeated (32, None) is served by the filterbank built for the first call
+        for n_mels, fmax in [(32, None), (24, None), (24, 6000.0), (32, None)]:
+            got = F.frame_pipeline(clip, n_fft=512, hop_length=256, n_mels=n_mels, fmax=fmax, target_rms=None)
+            fb = F.mel_filterbank(16000, 512, n_mels=n_mels, fmax=fmax)
+            norm = F.minmax_normalize(F.power_to_db(F.mel_power(spec, fb)))
+            want = F.segment_frames(norm, *F.default_framing(16000, 256))
+            assert np.array_equal(got.frames, want.frames)
+
     def test_frames_in_unit_interval(self, rng):
         x = rng.uniform(-0.8, 0.8, 48000)
         frames = F.frame_pipeline(make_clip(x), n_fft=512, hop_length=256, n_mels=32)

@@ -6,6 +6,7 @@ from aad.lstm_ae import (
     _PARAM_NAMES,
     LstmAeDetector,
     _loss_and_grads,
+    _sigmoid,
     lstm_ae_forward,
     lstm_ae_init,
     lstm_ae_score,
@@ -51,6 +52,29 @@ def scalar_forward(model, X):
             hd, cd = scalar_lstm_cell(model.dec_W, model.dec_b, latent, hd, cd, h)
             Y[b, t] = model.proj_W @ hd + model.proj_b
     return Y
+
+
+def masked_sigmoid(x):
+    """Per-sign masked sigmoid, one exp per element: the reference bits for _sigmoid."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_masked_form(self, rng):
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 800.0, -800.0, np.inf, -np.inf])
+        wide = rng.standard_normal((47, 256)) * 10.0 ** rng.uniform(-300, 3, (47, 256))
+        for x in (edges, wide, wide[:, :192]):
+            assert np.array_equal(_sigmoid(x), masked_sigmoid(x))
+            assert np.array_equal(np.signbit(_sigmoid(x)), np.signbit(masked_sigmoid(x)))
+
+    def test_nan_gives_nan(self):
+        x = np.array([np.nan, -np.nan, 0.5, -0.5])
+        assert np.array_equal(_sigmoid(x), masked_sigmoid(x), equal_nan=True)
 
 
 class TestInit:
@@ -159,6 +183,13 @@ class TestTrain:
         untrained = float(np.mean(lstm_ae_forward(model, X).mse))
         trained = lstm_ae_train(model, X, epochs=2, batch=4, lr=1e-3, seed=5)
         assert trained.loss_history[0] == pytest.approx(untrained, abs=1e-15)
+
+    def test_initial_loss_spans_several_score_blocks(self, rng):
+        X = rng.uniform(0, 1, (1100, 3, 4))  # three 512-frame blocks
+        model = lstm_ae_init(4, 3, seed=5)
+        trained = lstm_ae_train(model, X, epochs=0)
+        assert trained.loss_history[0] == float(np.mean(lstm_ae_score(model, X).scores))
+        assert trained.loss_history[0] == pytest.approx(float(np.mean(lstm_ae_forward(model, X).mse)), abs=1e-15)
 
     def test_training_does_not_mutate_input_model(self, rng):
         X = rng.uniform(0, 1, (8, 5, 6))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aad import ocsvm
 from aad.errors import DimensionMismatchError, InfeasibleNuError, NonConvergenceWarning
-from aad.ocsvm import OcSvmDetector, ocsvm_fit, ocsvm_score, rbf_kernel_block, resolve_gamma
+from aad.ocsvm import OcSvmDetector, ocsvm_decision, ocsvm_fit, ocsvm_score, rbf_kernel_block, resolve_gamma
 
 from conftest import random_frames
 
@@ -150,6 +152,24 @@ class TestScore:
         model = ocsvm_fit(np.random.default_rng(0).standard_normal((30, 2)), nu=0.2)
         with pytest.raises(DimensionMismatchError):
             ocsvm_score(model, np.zeros((3, 4)))
+
+
+class TestSupportVectorNorms:
+    def test_decision_bit_equal_to_kernel_sum_once_norms_are_kept(self, rng):
+        model = ocsvm_fit(rng.standard_normal((120, 3)), nu=0.1, gamma=0.8)
+        probes = rng.standard_normal((30, 3))
+        expected = rbf_kernel_block(probes, model.support_vectors, model.gamma) @ model.alphas
+        assert np.array_equal(ocsvm_decision(model, probes), expected)
+        assert "sv_sq_norms" in vars(model)  # the first call kept them
+        assert np.array_equal(ocsvm_decision(model, probes), expected)
+
+    def test_replaced_support_vectors_get_their_own_norms(self, rng):
+        model = ocsvm_fit(rng.standard_normal((120, 3)), nu=0.1, gamma=0.8)
+        probes = rng.standard_normal((30, 3))
+        ocsvm_decision(model, probes)
+        moved = dataclasses.replace(model, support_vectors=model.support_vectors + 2.0)
+        expected = rbf_kernel_block(probes, moved.support_vectors, moved.gamma) @ moved.alphas
+        assert np.array_equal(ocsvm_decision(moved, probes), expected)
 
 
 class TestDetectorWrapper:
