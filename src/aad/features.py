@@ -399,6 +399,8 @@ def load_frames(path) -> FrameTensor:
         raise VersionMismatchError(f"{path}: frame archive version {version} unsupported")
     blocks = decode_blocks(memoryview(raw)[prefix:], path, raw[:prefix])
     values = block(blocks, "frames", path, "<f4", ndim=3)
+    if 0 in values.shape:
+        raise CorruptModelFileError(f"{path}: empty frames block of shape {values.shape}")
     names = ("hop_size", "sample_rate", "hop_length")
     geometry = {k: int(block(blocks, k, path, "<i8", ndim=0)) for k in names}
     if min(geometry.values()) < 1:

@@ -5,10 +5,14 @@ Single-layer encoder and decoder. The encoder walks a frame's time axis
 decoder receives that code as its input at every timestep and a linear
 projection maps decoder outputs back to Mel columns.
 
-Gate weights are stored stacked as [4h x in_dim + h] with rows ordered
-input, forget, output, candidate. Everything is plain numpy with exact
-backpropagation through time; no framework involved, so fixed seed + fixed
-data reproduces parameters bit-for-bit.
+Gate weights are stored stacked as W = [W_x | W_h], [4h x in_dim + h], with
+rows ordered input, forget, output, candidate. The input side is hoisted out
+of the time loops: one GEMM gives x_t @ W_x.T + b for all T steps (for the
+decoder, whose input is the latent code at every step, one [B x 4h] block),
+and each step adds only the recurrent h_prev @ W_h.T. Backpropagation through
+time carries only da @ W_h back a step; the weight gradients are stacked GEMMs
+over all T*B rows after each loop. Everything is plain numpy with exact
+gradients, so fixed seed + fixed data reproduces parameters bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,12 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector_api import (
-    KIND_LSTM_AE,
-    AnomalyScoreSeries,
-    Detector,
-)
-from .errors import NonFiniteLossWarning, ShapeMismatchError
+from .detector_api import KIND_LSTM_AE, AnomalyScoreSeries, Detector
+from .errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
 from .features import FrameTensor
 
 _PARAM_NAMES = ("enc_W", "enc_b", "dec_W", "dec_b", "proj_W", "proj_b")
@@ -62,7 +62,7 @@ class ReconstructionBatch:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def lstm_ae_init(n_mels: int = 128, hidden: int = 64, seed: int = 0) -> LstmAeModel:
@@ -85,95 +85,89 @@ def lstm_ae_init(n_mels: int = 128, hidden: int = 64, seed: int = 0) -> LstmAeMo
     )
 
 
-def _cell_forward(W, b, x_t, h_prev, c_prev, h):
-    z = np.concatenate([x_t, h_prev], axis=1)
-    a = z @ W.T + b
-    s = _sigmoid(a[:, : 3 * h])
-    gi, gf, go = s[:, 0:h], s[:, h : 2 * h], s[:, 2 * h : 3 * h]
-    gg = np.tanh(a[:, 3 * h : 4 * h])
-    c = gf * c_prev + gi * gg
-    tc = np.tanh(c)
-    return go * tc, c, (z, gi, gf, go, gg, c_prev, tc)
+def _layer_forward(W_h, A, caches):
+    """One LSTM layer from zero state over A = x_t @ W_x.T + b [T x B x 4h]; returns the hidden
+    states [T+1 x B x h], zero state first. A caches list gets each step's
+    (gates i/f/o, candidate, c_prev, tanh c)."""
+    T, B, _ = A.shape
+    h = W_h.shape[1]
+    H = np.zeros((T + 1, B, h))
+    cs = np.zeros((B, h))
+    for t in range(T):
+        a = H[t] @ W_h.T
+        a += A[t]
+        s = _sigmoid(a[:, : 3 * h])
+        gg = np.tanh(a[:, 3 * h :])
+        c_prev, cs = cs, s[:, h : 2 * h] * cs + s[:, :h] * gg
+        tc = np.tanh(cs)
+        if caches is not None:
+            caches.append((s, gg, c_prev, tc))
+        np.multiply(s[:, 2 * h :], tc, out=H[t + 1])
+    return H
 
 
-def _cell_backward(W, cache, dh, dc_in, h):
-    z, gi, gf, go, gg, c_prev, tc = cache
-    do = dh * tc
-    dc = dc_in + dh * go * (1.0 - tc * tc)
-    da = np.empty((dh.shape[0], 4 * h))
-    np.multiply(dc * gg * gi, 1.0 - gi, out=da[:, 0:h])
-    np.multiply(dc * c_prev * gf, 1.0 - gf, out=da[:, h : 2 * h])
-    np.multiply(do * go, 1.0 - go, out=da[:, 2 * h : 3 * h])
-    np.multiply(dc * gi, 1.0 - gg * gg, out=da[:, 3 * h : 4 * h])
-    dW = da.T @ z
-    db = da.sum(axis=0)
-    dz = da @ W
-    return dz, dc * gf, dW, db
+def _layer_backward(W_h, caches, dH):
+    """BPTT through one layer from dH [T x B x h], the loss gradient reaching each hidden
+    state from outside it; returns the pre-activation gradients dA [T x B x 4h]."""
+    T, B, h = dH.shape
+    dA = np.empty((T, B, 4 * h))
+    dh = dc = np.zeros((B, h))
+    for t in reversed(range(T)):
+        s, gg, c_prev, tc = caches[t]
+        dh = dh + dH[t]
+        da = dA[t]
+        dc = dc + dh * s[:, 2 * h :] * (1.0 - tc * tc)
+        np.multiply(dc, gg, out=da[:, :h])
+        np.multiply(dc, c_prev, out=da[:, h : 2 * h])
+        np.multiply(dh, tc, out=da[:, 2 * h : 3 * h])
+        da[:, : 3 * h] *= s * (1.0 - s)
+        np.multiply(dc * s[:, :h], 1.0 - gg * gg, out=da[:, 3 * h :])
+        dc = dc * s[:, h : 2 * h]
+        dh = da @ W_h
+    return dA
 
 
-def _forward(model: LstmAeModel, X: np.ndarray, want_caches: bool):
-    """X is [B x T x M]; returns reconstructions plus BPTT caches if asked."""
+def _stacked(dA, inputs):
+    """Sum over time and batch of dA[t, b] outer inputs[t, b]: one GEMM over the T*B stacked rows."""
+    return dA.reshape(-1, dA.shape[-1]).T @ inputs.reshape(-1, inputs.shape[-1])
+
+
+def _forward(model: LstmAeModel, X: np.ndarray, enc_caches=None, dec_caches=None):
+    """X is [B x T x M]; returns inputs and reconstructions as step-major [T*B x M] rows, then He, Hd."""
     B, T, M = X.shape
     h = model.hidden
-    hs = np.zeros((B, h))
-    cs = np.zeros((B, h))
-    enc_caches = []
-    for t in range(T):
-        hs, cs, cache = _cell_forward(model.enc_W, model.enc_b, X[:, t], hs, cs, h)
-        if want_caches:
-            enc_caches.append(cache)
-    latent = hs
-
-    hd = np.zeros((B, h))
-    cd = np.zeros((B, h))
-    dec_caches = []
-    H = np.empty((B, T, h))
-    for t in range(T):
-        hd, cd, cache = _cell_forward(model.dec_W, model.dec_b, latent, hd, cd, h)
-        H[:, t] = hd
-        if want_caches:
-            dec_caches.append(cache)
-    Y = H @ model.proj_W.T + model.proj_b
-    return Y, H, enc_caches, dec_caches
+    Xt = np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(T * B, M)
+    A = Xt @ model.enc_W[:, :M].T
+    A += model.enc_b
+    He = _layer_forward(model.enc_W[:, M:], A.reshape(T, B, 4 * h), enc_caches)
+    A_dec = np.broadcast_to(He[-1] @ model.dec_W[:, :h].T + model.dec_b, (T, B, 4 * h))
+    Hd = _layer_forward(model.dec_W[:, h:], A_dec, dec_caches)
+    return Xt, Hd[1:].reshape(T * B, h) @ model.proj_W.T + model.proj_b, He, Hd
 
 
 def _loss_and_grads(model: LstmAeModel, X: np.ndarray):
     """Mean reconstruction MSE over the batch plus gradients for every parameter."""
     B, T, M = X.shape
     h = model.hidden
-    Y, H, enc_caches, dec_caches = _forward(model, X, want_caches=True)
-    diff = Y - X
+    enc_caches, dec_caches = [], []
+    Xt, Yt, He, Hd = _forward(model, X, enc_caches, dec_caches)
+    diff = Yt - Xt
     loss = float(np.mean(diff**2))
 
     dY = 2.0 * diff / diff.size
+    dAd = _layer_backward(model.dec_W[:, h:], dec_caches, (dY @ model.proj_W).reshape(T, B, h))
+    dA_latent = dAd.sum(axis=0)
+    dHe = np.zeros((T, B, h))
+    dHe[-1] = dA_latent @ model.dec_W[:, :h]
+    dAe = _layer_backward(model.enc_W[:, M:], enc_caches, dHe)
     grads = {
-        "proj_W": dY.reshape(-1, M).T @ H.reshape(-1, h),
-        "proj_b": dY.sum(axis=(0, 1)),
-        "enc_W": np.zeros_like(model.enc_W),
-        "enc_b": np.zeros_like(model.enc_b),
-        "dec_W": np.zeros_like(model.dec_W),
-        "dec_b": np.zeros_like(model.dec_b),
+        "enc_W": np.hstack([_stacked(dAe, Xt), _stacked(dAe, He[:-1])]),
+        "enc_b": dAe.sum(axis=(0, 1)),
+        "dec_W": np.hstack([dA_latent.T @ He[-1], _stacked(dAd, Hd[:-1])]),
+        "dec_b": dAd.sum(axis=(0, 1)),
+        "proj_W": _stacked(dY, Hd[1:]),
+        "proj_b": dY.sum(axis=0),
     }
-    dH = dY @ model.proj_W
-
-    dhd = np.zeros((B, h))
-    dcd = np.zeros((B, h))
-    d_latent = np.zeros((B, h))
-    for t in reversed(range(T)):
-        dz, dcd, dW, db = _cell_backward(model.dec_W, dec_caches[t], dH[:, t] + dhd, dcd, h)
-        grads["dec_W"] += dW
-        grads["dec_b"] += db
-        d_latent += dz[:, :h]
-        dhd = dz[:, h:]
-
-    dhe = d_latent
-    dce = np.zeros((B, h))
-    M_in = model.input_dim
-    for t in reversed(range(T)):
-        dz, dce, dW, db = _cell_backward(model.enc_W, enc_caches[t], dhe, dce, h)
-        grads["enc_W"] += dW
-        grads["enc_b"] += db
-        dhe = dz[:, M_in:]
     return loss, grads
 
 
@@ -199,9 +193,10 @@ def _finish(model: LstmAeModel, history: list[float], batch: int, lr: float, see
 def lstm_ae_forward(model: LstmAeModel, frames) -> ReconstructionBatch:
     """Reconstruct a batch and report per-frame MSE (mean over time and bands)."""
     X = _model_batch(model, frames)
-    Y, _, _, _ = _forward(model, X, want_caches=False)
-    mse = np.mean((Y - X) ** 2, axis=(1, 2))
-    return ReconstructionBatch(reconstructions=Y, mse=mse)
+    B, T, M = X.shape
+    Xt, Yt, _, _ = _forward(model, X)
+    mse = np.mean(((Yt - Xt) ** 2).reshape(T, B, M), axis=(0, 2))
+    return ReconstructionBatch(reconstructions=Yt.reshape(T, B, M).transpose(1, 0, 2), mse=mse)
 
 
 def lstm_ae_train(
@@ -221,6 +216,8 @@ def lstm_ae_train(
     """
     X = _model_batch(model, frames)
     n = X.shape[0]
+    if n < 1:
+        raise TooFewSamplesError("need at least one training frame")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     current = model.copy()

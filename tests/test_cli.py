@@ -233,6 +233,16 @@ class TestCorruptInputs:
         # main prefixes every failure with "error: "; the stage tag follows it
         assert capsys.readouterr().err.startswith("error: score:")
 
+    @pytest.mark.parametrize("kind", ["kmeans", "ocsvm", "lstmae"])
+    def test_empty_archive_is_a_data_error(self, tmp_path, capsys, kind):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames(), frames=np.zeros((0, 12, 6), "<f4"))
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", kind, "--out", str(tmp_path / "m.model")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: train:")
+        assert not (tmp_path / "m.model").exists()
+
     @pytest.mark.parametrize("kind, n_mels, frame_size, message", [
         pytest.param(kind, 5, 4, "feature dimension 20 != model dimension", id=kind)
         for kind in ("kmeans", "ocsvm")

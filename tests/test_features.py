@@ -388,8 +388,10 @@ class TestFramePersistence:
         ({"sample_rate": -5}, b"", None, "below 1"),
         ({}, b"\x00" * 8, None, "trailing bytes"),
         ({}, b"", 40, "checksum"),
+        ({"frames": np.zeros((0, 12, 6), "<f4")}, b"", None, "empty frames block"),
+        ({"frames": np.zeros((20, 0, 6), "<f4")}, b"", None, "empty frames block"),
     ], ids=["missing-hop-size", "zero-hop-size", "float-hop-size", "negative-sample-rate",
-            "trailing-bytes", "flipped-byte"])
+            "trailing-bytes", "flipped-byte", "zero-frames", "zero-mels"])
     def test_malformed_archive_rejected(self, tmp_path, overrides, tail, flip, match):
         from conftest import random_frames, write_frame_archive
 

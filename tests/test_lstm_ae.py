@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aad.errors import NonFiniteLossWarning, ShapeMismatchError
+from aad import lstm_ae
+from aad.errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
 from aad.lstm_ae import (
     _PARAM_NAMES,
     LstmAeDetector,
@@ -62,6 +63,83 @@ def masked_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def ref_cell_forward(W, b, x_t, h_prev, c_prev, h):
+    """One step over the concatenated input z = [x_t, h_prev]: the per-step reference form."""
+    z = np.concatenate([x_t, h_prev], axis=1)
+    a = z @ W.T + b
+    s = masked_sigmoid(a[:, : 3 * h])
+    gi, gf, go = s[:, 0:h], s[:, h : 2 * h], s[:, 2 * h : 3 * h]
+    gg = np.tanh(a[:, 3 * h : 4 * h])
+    c = gf * c_prev + gi * gg
+    tc = np.tanh(c)
+    return go * tc, c, (z, gi, gf, go, gg, c_prev, tc)
+
+
+def ref_cell_backward(W, cache, dh, dc_in, h):
+    """One BPTT step: the full dz = da @ W and this step's dW, db."""
+    z, gi, gf, go, gg, c_prev, tc = cache
+    do = dh * tc
+    dc = dc_in + dh * go * (1.0 - tc * tc)
+    da = np.concatenate([
+        dc * gg * gi * (1.0 - gi),
+        dc * c_prev * gf * (1.0 - gf),
+        do * go * (1.0 - go),
+        dc * gi * (1.0 - gg * gg),
+    ], axis=1)
+    return da @ W, dc * gf, da.T @ z, da.sum(axis=0)
+
+
+def ref_forward(model, X):
+    """Per-step reference: reconstructions [B x T x M], decoder states, and both layers' caches."""
+    B, T, M = X.shape
+    h = model.hidden
+    hs, cs = np.zeros((B, h)), np.zeros((B, h))
+    enc_caches = []
+    for t in range(T):
+        hs, cs, cache = ref_cell_forward(model.enc_W, model.enc_b, X[:, t], hs, cs, h)
+        enc_caches.append(cache)
+    latent = hs
+    hd, cd = np.zeros((B, h)), np.zeros((B, h))
+    dec_caches = []
+    H = np.empty((B, T, h))
+    for t in range(T):
+        hd, cd, cache = ref_cell_forward(model.dec_W, model.dec_b, latent, hd, cd, h)
+        H[:, t] = hd
+        dec_caches.append(cache)
+    return H @ model.proj_W.T + model.proj_b, H, enc_caches, dec_caches
+
+
+def ref_loss_and_grads(model, X):
+    """Loss and gradients from the per-step reference, each step's dW accumulated in the loop."""
+    B, T, M = X.shape
+    h = model.hidden
+    Y, H, enc_caches, dec_caches = ref_forward(model, X)
+    diff = Y - X
+    dY = 2.0 * diff / diff.size
+    grads = {name: np.zeros_like(getattr(model, name)) for name in ("enc_W", "enc_b", "dec_W", "dec_b")}
+    grads["proj_W"] = dY.reshape(-1, M).T @ H.reshape(-1, h)
+    grads["proj_b"] = dY.sum(axis=(0, 1))
+    dH = dY @ model.proj_W
+    dhd, dcd, d_latent = np.zeros((B, h)), np.zeros((B, h)), np.zeros((B, h))
+    for t in reversed(range(T)):
+        dz, dcd, dW, db = ref_cell_backward(model.dec_W, dec_caches[t], dH[:, t] + dhd, dcd, h)
+        grads["dec_W"] += dW
+        grads["dec_b"] += db
+        d_latent += dz[:, :h]
+        dhd = dz[:, h:]
+    dhe, dce = d_latent, np.zeros((B, h))
+    for t in reversed(range(T)):
+        dz, dce, dW, db = ref_cell_backward(model.enc_W, enc_caches[t], dhe, dce, h)
+        grads["enc_W"] += dW
+        grads["enc_b"] += db
+        dhe = dz[:, M:]
+    return float(np.mean(diff**2)), grads
+
+
+def rel_err(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
 
 
 class TestSigmoid:
@@ -169,6 +247,37 @@ class TestGradients:
         assert worst <= 1e-4
 
 
+class TestReferenceForm:
+    """The hoisted-input recurrence against the per-step form at the production shape."""
+
+    @pytest.mark.parametrize("batch", [64, 47])
+    def test_matches_per_step_form(self, rng, batch):
+        model = lstm_ae_init(n_mels=128, hidden=64, seed=11)
+        X = rng.uniform(0, 1, (batch, 16, 128))
+        out = lstm_ae_forward(model, X)
+        Y, _, _, _ = ref_forward(model, X)
+        assert rel_err(out.reconstructions, Y) <= 1e-12
+        assert rel_err(out.mse, np.mean((Y - X) ** 2, axis=(1, 2))) <= 1e-12
+        loss, grads = _loss_and_grads(model, X)
+        ref_loss, ref_grads = ref_loss_and_grads(model, X)
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        for name in _PARAM_NAMES:
+            assert grads[name].shape == ref_grads[name].shape
+            assert rel_err(grads[name], ref_grads[name]) <= 1e-12, name
+
+    def test_seeded_training_unchanged(self, rng, monkeypatch):
+        X = rng.uniform(0, 1, (1184, 16, 128))
+        init = lstm_ae_init(n_mels=128, hidden=64, seed=12)
+        trained = lstm_ae_train(init, X, epochs=3, batch=64, seed=12)
+        monkeypatch.setattr(lstm_ae, "_loss_and_grads", ref_loss_and_grads)
+        ref = lstm_ae_train(init, X, epochs=3, batch=64, seed=12)
+        assert len(trained.loss_history) == len(ref.loss_history) == 4
+        for got, want in zip(trained.loss_history, ref.loss_history):
+            assert abs(got - want) <= 1e-12 * want
+        for name in _PARAM_NAMES:
+            assert np.max(np.abs(getattr(trained, name) - getattr(ref, name))) <= 1e-12, name
+
+
 class TestTrain:
     def test_memorizes_single_repeated_frame(self, rng):
         frame = rng.uniform(0, 1, (1, 8, 16))
@@ -190,6 +299,10 @@ class TestTrain:
         trained = lstm_ae_train(model, X, epochs=0)
         assert trained.loss_history[0] == float(np.mean(lstm_ae_score(model, X).scores))
         assert trained.loss_history[0] == pytest.approx(float(np.mean(lstm_ae_forward(model, X).mse)), abs=1e-15)
+
+    def test_zero_frames_rejected(self):
+        with pytest.raises(TooFewSamplesError):
+            lstm_ae_train(lstm_ae_init(6, 4, seed=1), np.zeros((0, 5, 6)), epochs=1)
 
     def test_training_does_not_mutate_input_model(self, rng):
         X = rng.uniform(0, 1, (8, 5, 6))
