@@ -143,8 +143,13 @@ def cmd_synth(args) -> int:
     """Generate one continuous machine recording and slice it into splits.
 
     All splits share the same acoustic signature; anomalies are injected
-    only into the calib/test slices.
+    only into the calib/test slices. Bad numbers are rejected before any write.
     """
+    for dest, upper in (("normal_s", np.inf), ("anomalous_s", np.inf), ("transient_s", np.inf),
+                        ("rate", np.inf), ("train_frac", 1.0), ("calib_frac", 1.0)):
+        if (value := getattr(args, dest)) is not None and not 0.0 < value < upper:
+            bounds = "finite and > 0" if upper == np.inf else "in (0, 1)"
+            raise ValueError(f"--{dest.replace('_', '-')} must be {bounds}, got {value}")
     cfg = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

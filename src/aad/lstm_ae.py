@@ -136,7 +136,10 @@ def _forward(model: LstmAeModel, X: np.ndarray, enc_caches=None, dec_caches=None
     """X is [B x T x M]; returns inputs and reconstructions as step-major [T*B x M] rows, then He, Hd."""
     B, T, M = X.shape
     h = model.hidden
-    Xt = np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(T * B, M)
+    Xt = np.empty((T, B, M))
+    for b in range(0, B, 32):  # a cache-sized transpose: X may be a strided view of [N x M x T] frames
+        Xt[:, b : b + 32] = X[b : b + 32].transpose(1, 0, 2)
+    Xt = Xt.reshape(T * B, M)
     A = Xt @ model.enc_W[:, :M].T
     A += model.enc_b
     He = _layer_forward(model.enc_W[:, M:], A.reshape(T, B, 4 * h), enc_caches)
@@ -174,7 +177,7 @@ def _loss_and_grads(model: LstmAeModel, X: np.ndarray):
 def _model_batch(model: LstmAeModel, frames) -> np.ndarray:
     """Accept a FrameTensor or a [B x T x M] array; return time-major float64 of the model's width."""
     if isinstance(frames, FrameTensor):
-        X = np.ascontiguousarray(frames.frames.transpose(0, 2, 1))
+        X = frames.frames.transpose(0, 2, 1)  # a view: _forward's step-major copy is the only one
     else:
         X = np.asarray(frames, dtype=np.float64)
         if X.ndim != 3:
@@ -214,7 +217,7 @@ def lstm_ae_train(
     epoch e. A non-finite batch loss aborts training and returns the last
     finite end-of-epoch checkpoint with a warning.
     """
-    X = _model_batch(model, frames)
+    X = np.ascontiguousarray(_model_batch(model, frames))  # batches gather from contiguous rows
     n = X.shape[0]
     if n < 1:
         raise TooFewSamplesError("need at least one training frame")

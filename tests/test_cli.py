@@ -121,6 +121,20 @@ class TestSynth:
         assert len(intervals) == 1
         assert intervals[0].kind == "transient"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--normal-s", "inf"), ("--anomalous-s", "inf"), ("--normal-s", "-5"), ("--normal-s", "nan"),
+        ("--rate", "inf"), ("--rate", "0"), ("--transient-s", "inf"),
+        ("--train-frac", "1"), ("--train-frac", "0"), ("--calib-frac", "1.5"), ("--calib-frac", "nan"),
+    ])
+    def test_bad_number_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        sizes = {"--normal-s": "20", "--anomalous-s": "8", flag: value}
+        argv = ["synth", "--out", str(out), *(x for kv in sizes.items() for x in kv)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestBenchReport:
     def test_report_rows_complete(self, tiny_bench):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from aad.audio_io import load_wav
+from aad.cli import main
+from aad.config import load_config, load_manifest
 from aad.detector_api import (
     KIND_KMEANS,
     KIND_LSTM_AE,
@@ -16,6 +19,7 @@ from aad.features import load_frames, save_frames
 from aad.kmeans import KMeansDetector
 from aad.lstm_ae import LstmAeDetector
 from aad.ocsvm import OcSvmDetector
+from aad.synthgen import read_intervals
 
 from conftest import random_frames
 
@@ -167,6 +171,29 @@ class TestPersistence:
             assert read_model_header(path)[0] == kind
 
 
+def _mutants(pristine: bytes, trials: int):
+    """Seeded mutations: every third a truncation, the others 1-3 byte XOR flips."""
+    rng = np.random.default_rng(0)
+    for trial in range(trials):
+        data = bytearray(pristine)
+        if trial % 3 == 0:
+            data = data[: int(rng.integers(len(data)))]
+        else:
+            for pos in rng.choice(len(data), size=int(rng.integers(1, 4)), replace=False):
+                data[pos] ^= int(rng.integers(1, 256))
+        yield bytes(data)
+
+
+@pytest.fixture(scope="module")
+def tiny_synth(tmp_path_factory):
+    """A 4 s + 4 s knock dataset: the WAV, config, manifest and label files to mutate."""
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--out", str(out), "--seed", "7",
+                 "--normal-s", "4", "--anomalous-s", "4", "--rate", "240"]) == 0
+    assert read_intervals(out / "test.labels")
+    return out
+
+
 class TestCorruptionFuzz:
     @pytest.mark.parametrize("artifact", [KIND_KMEANS, KIND_OCSVM, KIND_LSTM_AE, "frames"])
     def test_every_mutation_is_a_pipeline_error(self, tmp_path, artifact):
@@ -179,18 +206,26 @@ class TestCorruptionFuzz:
         else:
             next(d for d in _fitted_detectors(train) if d.kind == artifact).persist(path)
             load = restore
-        pristine = path.read_bytes()
-        rng = np.random.default_rng(0)
-        for trial in range(51):
-            data = bytearray(pristine)
-            if trial % 3 == 0:
-                data = data[: int(rng.integers(len(data)))]
-            else:
-                for pos in rng.choice(len(data), size=int(rng.integers(1, 4)), replace=False):
-                    data[pos] ^= int(rng.integers(1, 256))
-            path.write_bytes(bytes(data))
+        for data in _mutants(path.read_bytes(), trials=51):
+            path.write_bytes(data)
             with pytest.raises(PipelineError):
                 load(path)
+
+    @pytest.mark.parametrize(
+        "reader, name",
+        [(load_wav, "val.wav"), (load_config, "config.txt"),
+         (load_manifest, "manifest.tsv"), (read_intervals, "test.labels")],
+        ids=["load_wav", "load_config", "load_manifest", "read_intervals"],
+    )
+    def test_dataset_reader_mutations(self, tiny_synth, tmp_path, reader, name):
+        """A mutated dataset file may still parse; any failure must be a PipelineError."""
+        path = tmp_path / name
+        for data in _mutants((tiny_synth / name).read_bytes(), trials=400):
+            path.write_bytes(data)
+            try:
+                reader(path)
+            except PipelineError:
+                pass
 
 
 class TestScoreOrderInvariance:

@@ -356,6 +356,16 @@ class TestScore:
         singles = np.array([lstm_ae_score(model, X[i : i + 1]).scores[0] for i in range(20)])
         assert np.max(np.abs(batched - singles)) < 1e-12
 
+    def test_frame_tensor_read_in_place(self):
+        """75 archive-layout frames: two full 32-frame transposes and a ragged one."""
+        frames = random_frames(num_frames=75, n_mels=6, frame_size=5, seed=12)
+        model = lstm_ae_init(6, 4, seed=3)
+        X = np.ascontiguousarray(frames.frames.transpose(0, 2, 1))
+        scores = lstm_ae_score(model, frames).scores
+        assert np.array_equal(scores, lstm_ae_score(model, X).scores)
+        singles = np.array([lstm_ae_score(model, X[i : i + 1]).scores[0] for i in range(75)])
+        assert np.max(np.abs(scores - singles)) < 1e-12
+
     def test_memorized_frame_scores_at_training_floor(self, rng):
         frame = rng.uniform(0, 1, (1, 6, 8))
         X = np.repeat(frame, 32, axis=0)

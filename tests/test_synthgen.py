@@ -1,9 +1,14 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from aad import synthgen
 from aad.errors import ClipTooShortError
 from aad.features import fft_amplitude_spectrum
 from aad.synthgen import (
+    LOWPASS_CUTOFF_HZ,
     AnomalyInterval,
     frame_labels,
     gen_normal,
@@ -47,6 +52,73 @@ class TestGenNormal:
     def test_rejects_subsecond(self):
         with pytest.raises(ValueError):
             gen_normal(0.5, seed=0)
+
+
+def ref_gen_normal(duration_s, sample_rate=16000, seed=0):
+    """The single full-length pass that gen_normal's tone blocks must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sample_rate))
+    t = np.arange(n) / sample_rate
+
+    x = np.zeros(n)
+    for _ in range(int(rng.integers(4, 9))):
+        f0 = rng.uniform(50.0, 400.0)
+        amp = rng.uniform(0.4, 1.0)
+        am_freq = rng.uniform(0.05, 0.9)
+        am_depth = rng.uniform(0.1, 0.5)
+        am_phase = rng.uniform(0.0, 2.0 * np.pi)
+        envelope = 1.0 + am_depth * np.sin(2.0 * np.pi * am_freq * t + am_phase)
+        for harmonic in (1, 2, 3):
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            x += (amp / harmonic) * envelope * np.sin(2.0 * np.pi * f0 * harmonic * t + phase)
+
+    noise = rng.standard_normal(n)
+    noise = synthgen._lowpass(noise, sample_rate, LOWPASS_CUTOFF_HZ, synthgen._LOWPASS_ORDER)
+    noise *= 0.3 * np.sqrt(np.mean(x**2)) / max(np.sqrt(np.mean(noise**2)), 1e-30)
+    x += noise
+
+    x *= 0.5 / np.max(np.abs(x))
+    return x
+
+
+BLOCK_S = synthgen._TONE_BLOCK / 16000
+# under one block, exactly one, one block + 1 sample, many blocks and a ragged tail
+LENGTHS_S = [1.5, BLOCK_S, (synthgen._TONE_BLOCK + 1) / 16000, 37.123]
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBlockedTones:
+    def test_seeds_span_the_tone_count_range(self):
+        assert [int(np.random.default_rng(s).integers(4, 9)) for s in (42, 7961)] == [4, 8]
+
+    @pytest.mark.parametrize("seed", [42, 7961])
+    @pytest.mark.parametrize("duration_s", LENGTHS_S, ids=["sub-block", "one-block", "block+1", "37.123s"])
+    def test_bit_equal_to_single_pass(self, seed, duration_s):
+        assert_bit_equal(gen_normal(duration_s, 16000, seed).samples, ref_gen_normal(duration_s, 16000, seed))
+
+    @pytest.mark.parametrize("seed", [42, 7961])
+    def test_one_worker_bit_equal(self, monkeypatch, seed):
+        """No affinity call and one CPU: the fallback lookup gives a one-worker pool."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert synthgen._usable_cpus() == 1
+        for duration_s in LENGTHS_S:
+            assert_bit_equal(gen_normal(duration_s, 16000, seed).samples, ref_gen_normal(duration_s, 16000, seed))
+
+    def test_more_workers_than_cores_lose_no_block(self, monkeypatch):
+        """Sixteen workers switching every microsecond: a lost or doubled block breaks bit equality."""
+        monkeypatch.setattr(synthgen, "_usable_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = gen_normal(37.123, 16000, 7961).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bit_equal(got, ref_gen_normal(37.123, 16000, 7961))
 
 
 class TestInjectKnocks:
