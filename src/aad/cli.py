@@ -188,15 +188,17 @@ def cmd_synth(args) -> int:
     rows = []
     with _stage("synth"):
         full = gen_normal(total_s, SAMPLE_RATE, seed)
-        offset = 0.0
+        edges = np.cumsum([0.0] + [durations[split] for split in SPLITS])  # sequential sums
+        spans = dict(zip(SPLITS, zip(edges, edges[1:])))
+        # Inject before the first write: an injector that fails leaves no partial dataset.
+        injected = {split: inject(_slice_clip(full, *spans[split])) for split, inject in injectors.items()}
         for split in SPLITS:
-            clip = _slice_clip(full, offset, offset + durations[split])
-            offset += durations[split]
             labels_name = None
-            if split in injectors:
-                labeled = injectors[split](clip)
+            if (labeled := injected.pop(split, None)) is not None:
                 clip, labels_name = labeled.clip, f"{split}.labels"
                 write_intervals(out / labels_name, labeled.intervals)
+            else:
+                clip = _slice_clip(full, *spans[split])
             save_wav(clip, out / f"{split}.wav")
             rows.append((f"{split}.wav", split, labels_name))
     write_manifest(out / "manifest.tsv", rows)
@@ -374,30 +376,16 @@ def _features_for(records: list[ManifestRecord], out_dir: Path, cfg: RunConfig):
     chaining the single-stage commands on the same intermediates. The
     stacked labels are None when no record in the split has a labels file.
     """
-    frames_list = []
+    tensors = []
     labels_list = []
     for rec in records:
         path, _, labels = write_features(rec.wav, rec.labels, out_dir, cfg)
         frames = feat.load_frames(path)
-        frames_list.append(frames)
+        tensors.append(frames)
         labels_list.append(labels if labels is not None else np.zeros(frames.num_frames, dtype=int))
-    if len(frames_list) == 1:
-        stacked = frames_list[0]
-    else:
-        first = frames_list[0]
-        for other in frames_list[1:]:
-            if (other.n_mels, other.frame_size, other.sample_rate, other.hop_length) != (
-                first.n_mels, first.frame_size, first.sample_rate, first.hop_length
-            ):
-                raise ManifestError("records in one split disagree on feature geometry")
-        stacked = feat.FrameTensor(
-            frames=np.concatenate([f.frames for f in frames_list], axis=0),
-            frame_size=first.frame_size,
-            hop_size=first.hop_size,
-            origin_columns=np.concatenate([f.origin_columns for f in frames_list]),
-            sample_rate=first.sample_rate,
-            hop_length=first.hop_length,
-        )
+    if len({(t.n_mels, t.frame_size, t.hop_size, t.sample_rate, t.hop_length) for t in tensors}) > 1:
+        raise ManifestError("records in one split disagree on feature geometry")
+    stacked = dataclasses.replace(tensors[0], parts=tuple(part for t in tensors for part in t.parts))
     labeled = any(rec.labels is not None for rec in records)
     return stacked, np.concatenate(labels_list) if labeled else None
 

@@ -69,28 +69,29 @@ class Vectorizer:
     def __init__(self):
         self.mean: np.ndarray | None = None
         self.std: np.ndarray | None = None
-        self.frame_shape: tuple[int, ...] | None = None  # None: a model file that predates it
+        self.frame_shape: tuple[int, int] | None = None
 
     def fit(self, frames: FrameTensor) -> np.ndarray:
-        rows = frames.frames.reshape(frames.num_frames, -1)
+        rows = np.array(frames.frames, order="C").reshape(frames.num_frames, -1)  # a fresh copy
         self.mean, self.std = rows.mean(axis=0), rows.std(axis=0)
-        self.frame_shape = frames.frames.shape[1:]
+        self.frame_shape = (frames.n_mels, frames.frame_size)
         return self._standardize(rows)
 
     def transform(self, frames: FrameTensor) -> np.ndarray:
         if self.mean is None:
             raise StandardizerMissingError("transform before fit: no stored statistics")
-        rows = frames.frames.reshape(frames.num_frames, -1)
-        check_dim(self.mean.size, rows.shape[1])
-        shape = frames.frames.shape[1:]
-        if self.frame_shape is not None and shape != self.frame_shape:
+        check_dim(self.mean.size, frames.n_mels * frames.frame_size)
+        shape = (frames.n_mels, frames.frame_size)
+        if shape != self.frame_shape:
             raise DimensionMismatchError(f"frame shape {shape} != model frame shape {self.frame_shape}")
-        return self._standardize(rows)
+        return self._standardize(np.array(frames.frames, order="C").reshape(frames.num_frames, -1))
 
     def _standardize(self, rows: np.ndarray) -> np.ndarray:
-        z = (rows - self.mean) / np.where(self.std > 0, self.std, 1.0)
-        z[:, self.std == 0] = 0.0
-        return z
+        """Standardize rows in place; zero-variance columns become 0."""
+        rows -= self.mean
+        rows /= np.where(self.std > 0, self.std, 1.0)
+        rows[:, self.std == 0] = 0.0
+        return rows
 
 
 class Detector:
@@ -143,8 +144,7 @@ def persist(detector: Detector, path) -> None:
     if vectorizer is not None:
         blocks["mean"] = vectorizer.mean
         blocks["std"] = vectorizer.std
-        if vectorizer.frame_shape is not None:
-            blocks["frame_shape"] = vectorizer.frame_shape
+        blocks["frame_shape"] = vectorizer.frame_shape
     kind_tag = detector.kind.encode("ascii").ljust(8, b"\x00")
     header = MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + kind_tag + detector.config_digest
     Path(path).write_bytes(header + encode_blocks(blocks, header))
@@ -218,8 +218,7 @@ def restore(path) -> Detector:
         vectorizer = detector.vectorizer
         vectorizer.mean = block(blocks, "mean", path, ndim=1).copy()
         vectorizer.std = block(blocks, "std", path, ndim=1).copy()
-        if "frame_shape" in blocks:
-            vectorizer.frame_shape = tuple(block(blocks, "frame_shape", path, "<i8", ndim=1).tolist())
+        vectorizer.frame_shape = tuple(block(blocks, "frame_shape", path, "<i8", ndim=1).tolist())
     return detector
 
 

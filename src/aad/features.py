@@ -9,6 +9,7 @@ agrees:
   area-normalized by 2 / (f_right - f_left)
 * dB stage clamps at DB_FLOOR (-80) with the global max cell at exactly 0 dB
 * min-max maps a constant matrix to all zeros
+* segmentation copies nothing: frames are views of the normalized spectrogram
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
 DB_FLOOR = -80.0
 
 _FRAME_MAGIC = b"AADFRAME"
-_FRAME_VERSION = 2
+_FRAME_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -123,28 +124,44 @@ class MelSpectrogram:
 
 @dataclass(frozen=True)
 class FrameTensor:
-    """Stack of overlapping spectrogram windows, the unit detectors consume.
+    """Overlapping column windows of normalized spectrograms, the unit detectors consume.
 
-    frames has shape [num_frames x n_mels x frame_size]; origin_columns[i]
-    is the spectrogram column where frame i starts.
+    parts holds one read-only [n_mels x n_cols] spectrogram per record. Frame
+    i of a part is its columns [i*hop_size, i*hop_size + frame_size); columns
+    that do not fill a frame are dropped. frames [num_frames x n_mels x
+    frame_size] is a read-only view of a single part, else the parts' frames
+    concatenated; origin_columns restarts at 0 in each part.
     """
 
-    frames: np.ndarray
+    parts: tuple
     frame_size: int
     hop_size: int
-    origin_columns: np.ndarray
     sample_rate: int
     hop_length: int
 
     def __post_init__(self):
-        f = np.asarray(self.frames, dtype=np.float64)
-        o = np.asarray(self.origin_columns, dtype=np.int64)
-        if f.ndim != 3 or f.shape[0] != o.size or f.shape[2] != self.frame_size:
-            raise ValueError("frames must be [num_frames x n_mels x frame_size]")
-        f.flags.writeable = False
-        o.flags.writeable = False
-        object.__setattr__(self, "frames", f)
-        object.__setattr__(self, "origin_columns", o)
+        if self.frame_size < 1 or self.hop_size < 1:
+            raise ValueError("frame_size and hop_size must be >= 1")
+        parts = tuple(np.asarray(p, dtype=np.float64) for p in self.parts)
+        if not parts or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+            raise ValueError("parts must be one or more [n_mels x n_cols] matrices of equal n_mels")
+        for p in parts:
+            if p.shape[1] < self.frame_size:
+                raise SpectrogramTooShortError(f"{p.shape[1]} columns < frame_size {self.frame_size}")
+            p.flags.writeable = False
+        object.__setattr__(self, "parts", parts)
+
+    @functools.cached_property
+    def frames(self) -> np.ndarray:
+        window = np.lib.stride_tricks.sliding_window_view
+        views = [window(p, self.frame_size, axis=1)[:, :: self.hop_size].transpose(1, 0, 2) for p in self.parts]
+        frames = views[0] if len(views) == 1 else np.concatenate(views)
+        frames.flags.writeable = False
+        return frames
+
+    @property
+    def origin_columns(self) -> np.ndarray:
+        return np.concatenate([np.arange(0, p.shape[1] - self.frame_size + 1, self.hop_size) for p in self.parts])
 
     @property
     def num_frames(self) -> int:
@@ -152,7 +169,7 @@ class FrameTensor:
 
     @property
     def n_mels(self) -> int:
-        return self.frames.shape[1]
+        return self.parts[0].shape[0]
 
 
 def hann_window(n_fft: int) -> np.ndarray:
@@ -270,29 +287,9 @@ def minmax_normalize(mel: MelSpectrogram) -> MelSpectrogram:
 
 
 def segment_frames(mel: MelSpectrogram, frame_size: int, hop_size: int) -> FrameTensor:
-    """Slice the spectrogram into overlapping column windows.
-
-    Frame i is columns [i*hop_size, i*hop_size + frame_size); trailing
-    columns that do not fill a frame are dropped.
-    """
-    if frame_size < 1 or hop_size < 1:
-        raise ValueError("frame_size and hop_size must be >= 1")
-    n_cols = mel.n_cols
-    if n_cols < frame_size:
-        raise SpectrogramTooShortError(f"{n_cols} columns < frame_size {frame_size}")
-    num_frames = (n_cols - frame_size) // hop_size + 1
-    frames = np.empty((num_frames, mel.n_mels, frame_size))
-    origins = np.arange(num_frames, dtype=np.int64) * hop_size
-    for i, start in enumerate(origins):
-        frames[i] = mel.values[:, start : start + frame_size]
-    return FrameTensor(
-        frames=frames,
-        frame_size=frame_size,
-        hop_size=hop_size,
-        origin_columns=origins,
-        sample_rate=mel.sample_rate,
-        hop_length=mel.hop_length,
-    )
+    """The spectrogram cut into overlapping column windows (see FrameTensor)."""
+    return FrameTensor(parts=(mel.values,), frame_size=frame_size, hop_size=hop_size,
+                       sample_rate=mel.sample_rate, hop_length=mel.hop_length)
 
 
 def mfcc(mel_db: MelSpectrogram, n_mfcc: int = 13) -> np.ndarray:
@@ -375,13 +372,17 @@ def frame_pipeline(
 
 def save_frames(frames: FrameTensor, path) -> None:
     """Write the frame archive: magic "AADFRAME", version u32 LE, then named
-    blocks (aad.blocks): frames as float32, hop_size, sample_rate, hop_length.
+    blocks (aad.blocks): the spectrogram as float32 [n_mels x n_cols],
+    frame_size, hop_size, sample_rate, hop_length. One archive holds one record.
     """
+    if len(frames.parts) != 1:
+        raise ValueError(f"a frame archive holds one spectrogram, the tensor has {len(frames.parts)}")
     header = _FRAME_MAGIC + struct.pack("<I", _FRAME_VERSION)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(encode_blocks({
-            "frames": frames.frames.astype("<f4"),
+            "spectrogram": frames.parts[0].astype("<f4"),
+            "frame_size": frames.frame_size,
             "hop_size": frames.hop_size,
             "sample_rate": frames.sample_rate,
             "hop_length": frames.hop_length,
@@ -389,7 +390,7 @@ def save_frames(frames: FrameTensor, path) -> None:
 
 
 def load_frames(path) -> FrameTensor:
-    """Read a frame archive written by save_frames; frame_size is the frames' last axis."""
+    """Read a frame archive written by save_frames."""
     raw = Path(path).read_bytes()
     prefix = len(_FRAME_MAGIC) + 4
     if len(raw) < prefix or raw[: len(_FRAME_MAGIC)] != _FRAME_MAGIC:
@@ -398,16 +399,11 @@ def load_frames(path) -> FrameTensor:
     if version != _FRAME_VERSION:
         raise VersionMismatchError(f"{path}: frame archive version {version} unsupported")
     blocks = decode_blocks(memoryview(raw)[prefix:], path, raw[:prefix])
-    values = block(blocks, "frames", path, "<f4", ndim=3)
-    if 0 in values.shape:
-        raise CorruptModelFileError(f"{path}: empty frames block of shape {values.shape}")
-    names = ("hop_size", "sample_rate", "hop_length")
+    spectrogram = block(blocks, "spectrogram", path, "<f4", ndim=2)
+    names = ("frame_size", "hop_size", "sample_rate", "hop_length")
     geometry = {k: int(block(blocks, k, path, "<i8", ndim=0)) for k in names}
     if min(geometry.values()) < 1:
         raise CorruptModelFileError(f"{path}: frame geometry below 1: {geometry}")
-    return FrameTensor(
-        frames=values.astype(np.float64),
-        frame_size=values.shape[2],
-        origin_columns=np.arange(values.shape[0], dtype=np.int64) * geometry["hop_size"],
-        **geometry,
-    )
+    if spectrogram.shape[0] == 0 or spectrogram.shape[1] < geometry["frame_size"]:
+        raise CorruptModelFileError(f"{path}: spectrogram {spectrogram.shape} too small for one frame: {geometry}")
+    return FrameTensor(parts=(spectrogram.astype(np.float64),), **geometry)

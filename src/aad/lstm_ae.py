@@ -293,7 +293,7 @@ class LstmAeDetector(Detector):
         self.model: LstmAeModel | None = None
 
     def fit(self, frames) -> "LstmAeDetector":
-        init = lstm_ae_init(n_mels=frames.frames.shape[1], hidden=self.hidden, seed=self.seed)
+        init = lstm_ae_init(n_mels=frames.n_mels, hidden=self.hidden, seed=self.seed)
         self.model = lstm_ae_train(
             init, frames, epochs=self.epochs, batch=self.batch, lr=self.lr, seed=self.seed
         )

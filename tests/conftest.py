@@ -31,21 +31,22 @@ def mel_db_matrix(values, sample_rate=16000, hop_length=512):
 
 def random_frames(num_frames=20, n_mels=12, frame_size=6, hop_size=3, seed=0,
                   sample_rate=16000, hop_length=512):
+    """Frames cut from a uniform random spectrogram exactly num_frames frames wide."""
     gen = np.random.default_rng(seed)
-    frames = gen.uniform(0.0, 1.0, (num_frames, n_mels, frame_size))
-    origins = np.arange(num_frames, dtype=np.int64) * hop_size
-    return FrameTensor(frames=frames, frame_size=frame_size, hop_size=hop_size,
-                       origin_columns=origins, sample_rate=sample_rate, hop_length=hop_length)
+    spectrogram = gen.uniform(0.0, 1.0, (n_mels, (num_frames - 1) * hop_size + frame_size))
+    return FrameTensor(parts=(spectrogram,), frame_size=frame_size, hop_size=hop_size,
+                       sample_rate=sample_rate, hop_length=hop_length)
 
 
 def write_frame_archive(path, tensor, tail=b"", **overrides):
-    """Write a version-2 frame archive by hand, re-checksummed after appending tail.
+    """Write a version-3 frame archive by hand, re-checksummed after appending tail.
 
     An override of None drops that block; any other value replaces it.
     """
-    header = b"AADFRAME" + struct.pack("<I", 2)
-    blocks = {"frames": tensor.frames.astype("<f4"), "hop_size": tensor.hop_size,
-              "sample_rate": tensor.sample_rate, "hop_length": tensor.hop_length, **overrides}
+    header = b"AADFRAME" + struct.pack("<I", 3)
+    blocks = {"spectrogram": tensor.parts[0].astype("<f4"), "frame_size": tensor.frame_size,
+              "hop_size": tensor.hop_size, "sample_rate": tensor.sample_rate,
+              "hop_length": tensor.hop_length, **overrides}
     table = encode_blocks({k: v for k, v in blocks.items() if v is not None})[4:] + tail
     crc = zlib.crc32(table, zlib.crc32(header))
     Path(path).write_bytes(header + struct.pack("<I", crc) + table)

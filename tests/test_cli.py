@@ -135,6 +135,13 @@ class TestSynth:
         assert flag in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_failing_injector_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        argv = ["synth", "--out", str(out), "--normal-s", "4", "--anomalous-s", "2", "--rate", "1"]
+        assert main(argv) == 3
+        assert "synth: 1.0 s at 1.0/min yields < 1 expected knock" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestBenchReport:
     def test_report_rows_complete(self, tiny_bench):
@@ -250,7 +257,7 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("kind", ["kmeans", "ocsvm", "lstmae"])
     def test_empty_archive_is_a_data_error(self, tmp_path, capsys, kind):
         frames = tmp_path / "train.frames"
-        write_frame_archive(frames, random_frames(), frames=np.zeros((0, 12, 6), "<f4"))
+        write_frame_archive(frames, random_frames(), spectrogram=np.zeros((12, 0), "<f4"))
         capsys.readouterr()
         rc = main(["train", "--frames", str(frames), "--detector", kind, "--out", str(tmp_path / "m.model")])
         assert rc == 3
@@ -274,6 +281,23 @@ class TestCorruptInputs:
                    "--frames", str(frames), "--out", str(tmp_path / "s.scores")])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: score: {message}")
+
+    def test_model_without_frame_shape_is_a_data_error(self, tiny_bench, tmp_path, capsys):
+        from aad.blocks import decode_blocks, encode_blocks
+        from aad.detector_api import _HEADER_LEN
+
+        raw = (tiny_bench / "kmeans.model").read_bytes()
+        header = raw[:_HEADER_LEN]
+        blocks = decode_blocks(raw[_HEADER_LEN:], "kmeans.model", header)
+        del blocks["frame_shape"]
+        (tmp_path / "old.model").write_bytes(header + encode_blocks(blocks, header))
+        capsys.readouterr()
+        rc = main(["score", "--model", str(tmp_path / "old.model"),
+                   "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
+        assert rc == 3
+        assert "error: score:" in (err := capsys.readouterr().err)
+        assert "missing block 'frame_shape'" in err
+        assert not (tmp_path / "s.scores").exists()
 
     @pytest.mark.parametrize("kind, field, value", [
         ("kmeans", "centroids", np.nan),
@@ -481,9 +505,8 @@ class TestManifest:
 
         parts = [load_frames(out / f"{name}.frames") for name in ("train_a", "train_b")]
         stacked = FrameTensor(
-            frames=np.concatenate([p.frames for p in parts]), frame_size=parts[0].frame_size,
-            hop_size=parts[0].hop_size, origin_columns=np.concatenate([p.origin_columns for p in parts]),
-            sample_rate=parts[0].sample_rate, hop_length=parts[0].hop_length,
+            parts=(parts[0].parts[0], parts[1].parts[0]), frame_size=parts[0].frame_size,
+            hop_size=parts[0].hop_size, sample_rate=parts[0].sample_rate, hop_length=parts[0].hop_length,
         )
         config = load_config(cfg)
         direct = KMeansDetector(k=config.kmeans_k, max_iter=config.kmeans_max_iter,

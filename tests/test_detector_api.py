@@ -46,11 +46,11 @@ class TestVectorizer:
         from aad.features import FrameTensor
 
         base = random_frames(num_frames=10, n_mels=3, frame_size=2, seed=3)
-        values = base.frames.copy()
-        values[:, 0, 0] = 0.5  # constant feature
+        spec = base.parts[0].copy()
+        spec[0, :: base.hop_size] = 0.5  # every frame's first column: a constant feature
         frames = FrameTensor(
-            frames=values, frame_size=base.frame_size, hop_size=base.hop_size,
-            origin_columns=base.origin_columns, sample_rate=16000, hop_length=512,
+            parts=(spec,), frame_size=base.frame_size, hop_size=base.hop_size,
+            sample_rate=16000, hop_length=512,
         )
         vec = Vectorizer()
         rows = vec.fit(frames)
@@ -231,18 +231,20 @@ class TestCorruptionFuzz:
 class TestScoreOrderInvariance:
     def test_permuted_frames_score_identically(self):
         train = random_frames(num_frames=40, n_mels=5, frame_size=4, seed=14)
-        probe = random_frames(num_frames=16, n_mels=5, frame_size=4, seed=15)
+        probe = random_frames(num_frames=16, n_mels=5, frame_size=4, hop_size=4, seed=15)
         perm = np.random.default_rng(0).permutation(16)
         from aad.features import FrameTensor
 
+        # frames tile the columns when hop_size == frame_size, so permuting column blocks permutes frames
+        blocks = probe.parts[0].reshape(5, 16, 4)[:, perm].reshape(5, 64)
         shuffled = FrameTensor(
-            frames=probe.frames[perm],
+            parts=(blocks,),
             frame_size=probe.frame_size,
             hop_size=probe.hop_size,
-            origin_columns=probe.origin_columns[perm],
             sample_rate=probe.sample_rate,
             hop_length=probe.hop_length,
         )
+        assert np.array_equal(shuffled.frames, probe.frames[perm])
         for det in _fitted_detectors(train):
             direct = det.score(probe).scores
             permuted = det.score(shuffled).scores

@@ -244,6 +244,11 @@ class TestSegmentFrames:
         with pytest.raises(SpectrogramTooShortError):
             F.segment_frames(self._norm(rng.uniform(0, 1, (4, 10))), 16, 3)
 
+    @pytest.mark.parametrize("frame_size, hop", [(0, 3), (16, 0)])
+    def test_geometry_below_one(self, rng, frame_size, hop):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            F.segment_frames(self._norm(rng.uniform(0, 1, (4, 20))), frame_size, hop)
+
 
 class TestMfcc:
     def test_constant_column(self):
@@ -360,6 +365,39 @@ class TestFramePersistence:
         assert (loaded.sample_rate, loaded.hop_length) == (frames.sample_rate, frames.hop_length)
         assert (loaded.frame_size, loaded.hop_size) == (frames.frame_size, frames.hop_size)
 
+    def test_loaded_frames_are_a_read_only_view_of_the_spectrogram(self, tmp_path):
+        from conftest import random_frames
+
+        path = tmp_path / "v.frames"
+        F.save_frames(random_frames(seed=8), path)
+        loaded = F.load_frames(path)
+        assert len(loaded.parts) == 1
+        assert np.shares_memory(loaded.frames, loaded.parts[0])
+        assert not loaded.frames.flags.writeable
+        assert not loaded.parts[0].flags.writeable
+
+    def test_two_part_tensor_concatenates_the_parts_frames(self):
+        from conftest import random_frames
+
+        a = random_frames(num_frames=7, n_mels=4, frame_size=5, hop_size=2, seed=9)
+        b = random_frames(num_frames=4, n_mels=4, frame_size=5, hop_size=2, seed=10)
+        both = F.FrameTensor(parts=a.parts + b.parts, frame_size=5, hop_size=2,
+                             sample_rate=16000, hop_length=512)
+        assert both.num_frames == 11
+        assert np.array_equal(both.frames, np.concatenate([a.frames, b.frames]))
+        assert not both.frames.flags.writeable
+        assert both.origin_columns.tolist() == [0, 2, 4, 6, 8, 10, 12, 0, 2, 4, 6]
+
+    def test_two_part_tensor_is_not_archived(self, tmp_path):
+        from conftest import random_frames
+
+        a = random_frames(seed=11)
+        both = F.FrameTensor(parts=a.parts * 2, frame_size=a.frame_size, hop_size=a.hop_size,
+                             sample_rate=a.sample_rate, hop_length=a.hop_length)
+        with pytest.raises(ValueError, match="one spectrogram"):
+            F.save_frames(both, tmp_path / "two.frames")
+        assert not (tmp_path / "two.frames").exists()
+
     def test_f32_payload_round_trips_exactly(self, tmp_path):
         from conftest import random_frames
 
@@ -388,10 +426,15 @@ class TestFramePersistence:
         ({"sample_rate": -5}, b"", None, "below 1"),
         ({}, b"\x00" * 8, None, "trailing bytes"),
         ({}, b"", 40, "checksum"),
-        ({"frames": np.zeros((0, 12, 6), "<f4")}, b"", None, "empty frames block"),
-        ({"frames": np.zeros((20, 0, 6), "<f4")}, b"", None, "empty frames block"),
+        ({"spectrogram": np.zeros((12, 0), "<f4")}, b"", None, "too small for one frame"),
+        ({"spectrogram": np.zeros((0, 63), "<f4")}, b"", None, "too small for one frame"),
+        ({"frame_size": None}, b"", None, "missing block 'frame_size'"),
+        ({"spectrogram": np.zeros((12, 5), "<f4")}, b"", None, "too small for one frame"),
+        ({"spectrogram": None}, b"", None, "missing block 'spectrogram'"),
+        ({"spectrogram": np.zeros((12, 63))}, b"", None, "'spectrogram' is <f8"),
     ], ids=["missing-hop-size", "zero-hop-size", "float-hop-size", "negative-sample-rate",
-            "trailing-bytes", "flipped-byte", "zero-frames", "zero-mels"])
+            "trailing-bytes", "flipped-byte", "zero-frames", "zero-mels", "missing-frame-size",
+            "narrower-than-frame", "missing-spectrogram", "f64-spectrogram"])
     def test_malformed_archive_rejected(self, tmp_path, overrides, tail, flip, match):
         from conftest import random_frames, write_frame_archive
 
@@ -404,7 +447,7 @@ class TestFramePersistence:
         with pytest.raises(CorruptModelFileError, match=match):
             F.load_frames(path)
 
-    @pytest.mark.parametrize("version", [1, 200])
+    @pytest.mark.parametrize("version", [1, 2, 200])
     def test_future_version_rejected(self, tmp_path, version):
         from conftest import random_frames
 
