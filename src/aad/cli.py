@@ -209,10 +209,11 @@ def cmd_synth(args) -> int:
 
 # --- stage functions: the single-stage commands and bench both call these ----
 
-def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, int, np.ndarray | None]:
+def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, feat.FrameTensor, np.ndarray | None]:
     """Write <out>/<stem>.frames, plus <stem>.framelabels when an interval file is given.
 
-    Returns the archive path, its frame count and the frame labels (None without labels).
+    Returns the archive path, the tensor written (equal to what load_frames
+    reads back) and the frame labels (None without labels).
     """
     stem = Path(wav).stem
     frames = feat.frame_pipeline(
@@ -229,7 +230,7 @@ def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, int, np.ndar
     if labels:
         vector = frame_labels(read_intervals(labels), frames)
         write_vector(Path(out) / f"{stem}.framelabels", vector, fmt="%d")
-    return path, frames.num_frames, vector
+    return path, frames, vector
 
 
 def train_detector(kind: str, cfg: RunConfig, frames: feat.FrameTensor, path):
@@ -276,8 +277,8 @@ def cmd_features(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("features"):
-        path, num_frames, _ = write_features(args.wav, args.labels, out, cfg)
-    print(f"wrote {path} ({num_frames} frames)")
+        path, frames, _ = write_features(args.wav, args.labels, out, cfg)
+    print(f"wrote {path} ({frames.num_frames} frames)")
     return 0
 
 
@@ -370,17 +371,14 @@ def _split_records(records: list[ManifestRecord]) -> dict[str, list[ManifestReco
 
 
 def _features_for(records: list[ManifestRecord], out_dir: Path, cfg: RunConfig):
-    """Write each record's frame archive, reload it, and stack the split.
+    """Write each record's frame archive and stack the tensors written, which equal the archives.
 
-    Going through the on-disk archives keeps bench numerically identical to
-    chaining the single-stage commands on the same intermediates. The
-    stacked labels are None when no record in the split has a labels file.
+    The stacked labels are None when no record in the split has a labels file.
     """
     tensors = []
     labels_list = []
     for rec in records:
-        path, _, labels = write_features(rec.wav, rec.labels, out_dir, cfg)
-        frames = feat.load_frames(path)
+        _, frames, labels = write_features(rec.wav, rec.labels, out_dir, cfg)
         tensors.append(frames)
         labels_list.append(labels if labels is not None else np.zeros(frames.num_frames, dtype=int))
     if len({(t.n_mels, t.frame_size, t.hop_size, t.sample_rate, t.hop_length) for t in tensors}) > 1:

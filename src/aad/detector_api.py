@@ -51,7 +51,7 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, a_sq=None, b_sq=None) -> np.ndar
     d2 = (
         (np.sum(A**2, axis=1) if a_sq is None else a_sq)[:, None]
         + (np.sum(B**2, axis=1) if b_sq is None else b_sq)[None, :]
-        - 2.0 * A @ B.T
+        - 2.0 * (A @ B.T)  # scales the product: (2.0 * A) would be an n x d temporary
     )
     return np.maximum(d2, 0.0)
 
@@ -72,8 +72,10 @@ class Vectorizer:
         self.frame_shape: tuple[int, int] | None = None
 
     def fit(self, frames: FrameTensor) -> np.ndarray:
-        rows = np.array(frames.frames, order="C").reshape(frames.num_frames, -1)  # a fresh copy
-        self.mean, self.std = rows.mean(axis=0), rows.std(axis=0)
+        rows = np.array(frames.frames, dtype=np.float64, order="C").reshape(frames.num_frames, -1)  # a fresh copy
+        # np.std's bits without a second n x d array: ~256 columns at a time, none alone (numpy sums one column pairwise)
+        edges = np.linspace(0, rows.shape[1], -(-rows.shape[1] // 256) + 1).astype(int)
+        self.mean, self.std = rows.mean(axis=0), np.concatenate([rows[:, a:b].std(axis=0) for a, b in zip(edges, edges[1:])])
         self.frame_shape = (frames.n_mels, frames.frame_size)
         return self._standardize(rows)
 
@@ -84,7 +86,7 @@ class Vectorizer:
         shape = (frames.n_mels, frames.frame_size)
         if shape != self.frame_shape:
             raise DimensionMismatchError(f"frame shape {shape} != model frame shape {self.frame_shape}")
-        return self._standardize(np.array(frames.frames, order="C").reshape(frames.num_frames, -1))
+        return self._standardize(np.array(frames.frames, dtype=np.float64, order="C").reshape(frames.num_frames, -1))
 
     def _standardize(self, rows: np.ndarray) -> np.ndarray:
         """Standardize rows in place; zero-variance columns become 0."""

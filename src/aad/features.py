@@ -9,7 +9,8 @@ agrees:
   area-normalized by 2 / (f_right - f_left)
 * dB stage clamps at DB_FLOOR (-80) with the global max cell at exactly 0 dB
 * min-max maps a constant matrix to all zeros
-* segmentation copies nothing: frames are views of the normalized spectrogram
+* segmentation copies nothing: frames are float32 views of the normalized
+  spectrogram, the same bits in memory and in the frame archive
 """
 
 from __future__ import annotations
@@ -126,11 +127,11 @@ class MelSpectrogram:
 class FrameTensor:
     """Overlapping column windows of normalized spectrograms, the unit detectors consume.
 
-    parts holds one read-only [n_mels x n_cols] spectrogram per record. Frame
-    i of a part is its columns [i*hop_size, i*hop_size + frame_size); columns
-    that do not fill a frame are dropped. frames [num_frames x n_mels x
-    frame_size] is a read-only view of a single part, else the parts' frames
-    concatenated; origin_columns restarts at 0 in each part.
+    parts holds one read-only float32 [n_mels x n_cols] spectrogram per record: the
+    feature dtype is decided here and nowhere else. Frame i of a part is its columns
+    [i*hop_size, i*hop_size + frame_size); columns that do not fill a frame are dropped.
+    frames [num_frames x n_mels x frame_size] is a read-only view of a single part, else
+    the parts' frames concatenated; origin_columns restarts at 0 in each part.
     """
 
     parts: tuple
@@ -142,7 +143,7 @@ class FrameTensor:
     def __post_init__(self):
         if self.frame_size < 1 or self.hop_size < 1:
             raise ValueError("frame_size and hop_size must be >= 1")
-        parts = tuple(np.asarray(p, dtype=np.float64) for p in self.parts)
+        parts = tuple(np.asarray(p, dtype=np.float32) for p in self.parts)
         if not parts or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
             raise ValueError("parts must be one or more [n_mels x n_cols] matrices of equal n_mels")
         for p in parts:
@@ -353,7 +354,7 @@ def frame_pipeline(
     """Run the whole feature chain on one clip and return its FrameTensor.
 
     Stage order: optional RMS normalization, STFT, Mel power, dB, optional
-    spectral gate, min-max normalization, frame segmentation.
+    spectral gate, min-max normalization (float64), float32 frame segmentation.
     """
     if target_rms is not None:
         clip = rms_normalize(clip, target_rms).clip
@@ -372,7 +373,7 @@ def frame_pipeline(
 
 def save_frames(frames: FrameTensor, path) -> None:
     """Write the frame archive: magic "AADFRAME", version u32 LE, then named
-    blocks (aad.blocks): the spectrogram as float32 [n_mels x n_cols],
+    blocks (aad.blocks): the float32 spectrogram [n_mels x n_cols] as it is,
     frame_size, hop_size, sample_rate, hop_length. One archive holds one record.
     """
     if len(frames.parts) != 1:
@@ -381,7 +382,7 @@ def save_frames(frames: FrameTensor, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(encode_blocks({
-            "spectrogram": frames.parts[0].astype("<f4"),
+            "spectrogram": frames.parts[0],
             "frame_size": frames.frame_size,
             "hop_size": frames.hop_size,
             "sample_rate": frames.sample_rate,
@@ -390,7 +391,7 @@ def save_frames(frames: FrameTensor, path) -> None:
 
 
 def load_frames(path) -> FrameTensor:
-    """Read a frame archive written by save_frames."""
+    """Read a frame archive written by save_frames: the tensor it was given, its part a read-only view of the file."""
     raw = Path(path).read_bytes()
     prefix = len(_FRAME_MAGIC) + 4
     if len(raw) < prefix or raw[: len(_FRAME_MAGIC)] != _FRAME_MAGIC:
@@ -406,4 +407,4 @@ def load_frames(path) -> FrameTensor:
         raise CorruptModelFileError(f"{path}: frame geometry below 1: {geometry}")
     if spectrogram.shape[0] == 0 or spectrogram.shape[1] < geometry["frame_size"]:
         raise CorruptModelFileError(f"{path}: spectrogram {spectrogram.shape} too small for one frame: {geometry}")
-    return FrameTensor(parts=(spectrogram.astype(np.float64),), **geometry)
+    return FrameTensor(parts=(spectrogram,), **geometry)

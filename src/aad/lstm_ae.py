@@ -175,11 +175,11 @@ def _loss_and_grads(model: LstmAeModel, X: np.ndarray):
 
 
 def _model_batch(model: LstmAeModel, frames) -> np.ndarray:
-    """Accept a FrameTensor or a [B x T x M] array; return time-major float64 of the model's width."""
+    """Accept a FrameTensor or a [B x T x M] array of the model's width; return it uncopied: _forward makes the float64 copy."""
     if isinstance(frames, FrameTensor):
         X = frames.frames.transpose(0, 2, 1)  # a view: _forward's step-major copy is the only one
     else:
-        X = np.asarray(frames, dtype=np.float64)
+        X = np.asarray(frames)
         if X.ndim != 3:
             raise ShapeMismatchError(f"expected a 3-D batch, got shape {X.shape}")
     if X.shape[2] != model.input_dim:

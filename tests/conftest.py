@@ -38,15 +38,18 @@ def random_frames(num_frames=20, n_mels=12, frame_size=6, hop_size=3, seed=0,
                        sample_rate=sample_rate, hop_length=hop_length)
 
 
-def write_frame_archive(path, tensor, tail=b"", **overrides):
+def write_frame_archive(path, tensor, tail=b"", edit=None, **overrides):
     """Write a version-3 frame archive by hand, re-checksummed after appending tail.
 
-    An override of None drops that block; any other value replaces it.
+    An override of None drops that block; any other value replaces it. edit,
+    if given, maps the block table's bytes to the bytes checksummed and written.
     """
     header = b"AADFRAME" + struct.pack("<I", 3)
     blocks = {"spectrogram": tensor.parts[0].astype("<f4"), "frame_size": tensor.frame_size,
               "hop_size": tensor.hop_size, "sample_rate": tensor.sample_rate,
               "hop_length": tensor.hop_length, **overrides}
     table = encode_blocks({k: v for k, v in blocks.items() if v is not None})[4:] + tail
+    if edit is not None:
+        table = edit(table)
     crc = zlib.crc32(table, zlib.crc32(header))
     Path(path).write_bytes(header + struct.pack("<I", crc) + table)

@@ -12,6 +12,7 @@ from aad.audio_io import (
     save_wav,
     spectral_gate,
 )
+from aad.cli import main
 from aad.errors import (
     CorruptHeaderError,
     EmptyAudioError,
@@ -38,6 +39,14 @@ def wav_bytes(frames, channels=1, sample_rate=16000, fmt_code=1, bits=16, extra_
         body += cid + struct.pack("<I", len(data)) + data
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def short_fmt_wav_bytes():
+    """A PCM WAV whose fmt chunk stops after 14 of its 16 bytes."""
+    fmt = struct.pack("<HHIIH", 1, 1, 16000, 32000, 2)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", 4) + b"\x00" * 4
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
@@ -105,6 +114,20 @@ class TestLoadWav:
         path = write_wav(tmp_path, "e.wav", frames=[])
         with pytest.raises(EmptyAudioError):
             load_wav(path)
+
+    @pytest.mark.parametrize("raw, match", [
+        (wav_bytes(frames=[0.5, np.nan], fmt_code=3, bits=32), "non-finite samples"),
+        (wav_bytes(frames=[0, 0], channels=0), "zero channels or sample rate"),
+        (short_fmt_wav_bytes(), "missing or short fmt chunk"),
+    ], ids=["nan-sample", "zero-channels", "short-fmt"])
+    def test_corrupt_header_is_a_data_error(self, tmp_path, capsys, raw, match):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(CorruptHeaderError, match=match):
+            load_wav(path)
+        capsys.readouterr()
+        assert main(["features", "--wav", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert match in capsys.readouterr().err
 
     def test_skips_foreign_chunks(self, tmp_path):
         path = write_wav(tmp_path, "j.wav", frames=[100], extra_chunks=((b"JUNK", b"abcd"),))

@@ -242,6 +242,26 @@ class TestStageIsolation:
                 assert staged[key] == bench_row[key]
             assert staged["confusion"] == bench_row["confusion"]
 
+    @pytest.mark.parametrize("mode", ["knocks", "rare"])
+    def test_in_memory_scores_equal_bench(self, mode, request):
+        """frame_pipeline on the test WAV, scored by the bench's restored models, gives the bench's scores."""
+        from aad.audio_io import load_wav
+        from aad.features import frame_pipeline
+
+        prefix = "tiny" if mode == "knocks" else "tiny_rare"
+        dataset = request.getfixturevalue(f"{prefix}_dataset")
+        bench = request.getfixturevalue(f"{prefix}_bench")
+        cfg = load_config(dataset / "fast.txt")
+        frames = frame_pipeline(
+            load_wav(dataset / "test.wav"), n_fft=cfg.n_fft, hop_length=cfg.hop_length, n_mels=cfg.n_mels,
+            fmin=cfg.fmin, fmax=cfg.fmax, time_per_frame=cfg.time_per_frame, hop_ratio=cfg.hop_ratio,
+            target_rms=cfg.target_rms, denoise=cfg.denoise, denoise_percentile=cfg.denoise_percentile,
+            denoise_margin_db=cfg.denoise_margin_db,
+        )
+        for kind in ("kmeans", "ocsvm", "lstmae"):
+            scores = restore(bench / f"{kind}.model").score(frames).scores
+            assert np.array_equal(scores, read_vector(bench / f"{kind}.scores")), kind
+
 
 class TestCorruptInputs:
     def test_malformed_archive_is_a_data_error(self, tiny_bench, tmp_path, capsys):
@@ -334,6 +354,21 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: eval:")
         assert "bad.txt:2" in err
+
+    @pytest.mark.parametrize("calibration, code, message", [
+        ("# calibration report\nmode = f1\npercentile = 95\n", 3, "no threshold line"),
+        (None, 2, "eval needs --threshold or --calibration"),
+    ], ids=["calibration-without-threshold", "no-threshold-source"])
+    def test_eval_without_a_threshold(self, tiny_bench, tmp_path, capsys, calibration, code, message):
+        argv = ["eval", "--scores", str(tiny_bench / "kmeans.scores"),
+                "--labels", str(tiny_bench / "test.framelabels"), "--out", str(tmp_path / "e.json")]
+        if calibration is not None:
+            (tmp_path / "bad.calibration").write_text(calibration)
+            argv += ["--calibration", str(tmp_path / "bad.calibration")]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
     @pytest.mark.parametrize("kind, content", [
         ("config", b"n_fft = 1024\nseed = \xff\n"),
@@ -484,6 +519,39 @@ class TestManifest:
         assert rc == 3
         assert "share the file stem(s) rec;" in capsys.readouterr().err
         assert not (tmp_path / "o" / "rec.frames").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("no-train", "error: manifest has no train records"),
+        ("mixed-rates", "error: features: records in one split disagree on feature geometry"),
+    ], ids=["no-train", "mixed-rates"])
+    def test_unusable_manifest_is_a_data_error(self, tiny_dataset, tmp_path, capsys, case, message):
+        from aad.audio_io import AudioClip, load_wav, save_wav
+
+        rows = (f"{tiny_dataset / 'val.wav'}\tval\n"
+                f"{tiny_dataset / 'test.wav'}\ttest\t{tiny_dataset / 'test.labels'}\n")
+        if case == "mixed-rates":  # a 16 kHz and an 8 kHz train record: frames of different sizes
+            clip = load_wav(tiny_dataset / "train.wav")
+            save_wav(AudioClip(samples=clip.samples[: 5 * clip.sample_rate], sample_rate=8000), tmp_path / "slow.wav")
+            rows = f"{tiny_dataset / 'train.wav'}\ttrain\nslow.wav\ttrain\n" + rows
+        (tmp_path / "m.tsv").write_text(rows)
+        capsys.readouterr()
+        rc = main(["bench", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "o"),
+                   "--config", str(tiny_dataset / "fast.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_bench_never_reads_an_archive(self, tiny_dataset, tiny_bench, tmp_path, monkeypatch):
+        import aad.features
+
+        def refuse(path):
+            raise AssertionError(f"bench read {path}")
+
+        monkeypatch.setattr(aad.features, "load_frames", refuse)
+        out = tmp_path / "o"
+        assert main(["bench", "--manifest", str(tiny_dataset / "manifest.tsv"), "--out", str(out),
+                     "--config", str(tiny_dataset / "fast.txt")]) == 0
+        for name in ("kmeans.scores", "ocsvm.scores", "lstmae.scores", "test.frames"):
+            assert (out / name).read_bytes() == (tiny_bench / name).read_bytes(), name
 
     def test_bench_stacks_the_records_of_a_split(self, tiny_dataset, tmp_path):
         from aad.audio_io import AudioClip, load_wav, save_wav

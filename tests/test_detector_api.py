@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from aad.detector_api import (
     KIND_OCSVM,
     MODEL_VERSION,
     Vectorizer,
+    _sq_distances,
     persist,
     read_model_header,
     restore,
@@ -34,7 +37,7 @@ class TestVectorizer:
         frames = random_frames(num_frames=3, n_mels=4, frame_size=5, seed=9)
         vec = Vectorizer()
         vec.fit(frames)
-        assert np.array_equal(vec.mean, frames.frames.mean(axis=0).ravel())
+        assert np.array_equal(vec.mean, frames.frames.mean(axis=0, dtype=np.float64).ravel())
 
     def test_standardized_training_stats(self):
         frames = random_frames(num_frames=50, n_mels=6, frame_size=4, seed=2)
@@ -69,6 +72,53 @@ class TestVectorizer:
         test = random_frames(num_frames=8, n_mels=5, frame_size=3, seed=6)
         expected = (test.frames.reshape(8, -1) - vec.mean) / vec.std
         assert np.array_equal(vec.transform(test), expected)
+
+    @pytest.mark.parametrize("num_frames, n_mels, frame_size", [
+        (1000, 1, 1), (3, 1, 1), (600, 2, 1), (40, 128, 16), (300, 257, 1), (300, 1, 513), (17, 3, 86),
+    ])
+    def test_std_is_np_std(self, num_frames, n_mels, frame_size):
+        # numpy sums a lone column pairwise, not row by row: 1 column, and 257 (256 + a lone one)
+        frames = random_frames(num_frames=num_frames, n_mels=n_mels, frame_size=frame_size,
+                               hop_size=frame_size, seed=num_frames)
+        rows = np.array(frames.frames, dtype=np.float64, order="C").reshape(num_frames, -1)
+        vec = Vectorizer()
+        vec.fit(frames)
+        assert np.array_equal(vec.std, rows.std(axis=0))
+        assert np.array_equal(vec.mean, rows.mean(axis=0))
+
+    def test_fit_holds_one_n_by_d_array(self):
+        frames = random_frames(num_frames=1000, n_mels=128, frame_size=16, hop_size=16, seed=18)
+        frames.frames  # the cached view, made before tracing
+        tracemalloc.start()
+        try:
+            rows = Vectorizer().fit(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * rows.nbytes  # np.std(axis=0) alone would add a second rows.nbytes
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("n, m, d", [(1180, 8, 64), (47, 265, 33), (300, 8, 2048), (5, 1, 1)])
+    def test_bit_equal_to_scaling_the_rows(self, n, m, d):
+        gen = np.random.default_rng(n)
+        A, B = gen.standard_normal((n, d)), gen.standard_normal((m, d))
+        a_sq, b_sq = np.sum(A**2, axis=1), np.sum(B**2, axis=1)
+        old = np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * A @ B.T, 0.0)
+        assert np.array_equal(_sq_distances(A, B), old)
+        assert np.array_equal(_sq_distances(A, B, a_sq, b_sq), old)
+
+    def test_no_n_by_d_temporary_with_norms_given(self):
+        gen = np.random.default_rng(3)
+        A, B = gen.standard_normal((2000, 1024)), gen.standard_normal((8, 1024))
+        a_sq, b_sq = np.sum(A**2, axis=1), np.sum(B**2, axis=1)
+        tracemalloc.start()
+        try:
+            _sq_distances(A, B, a_sq, b_sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 8  # 2.0 * A would be a full copy of A
 
 
 def _fitted_detectors(frames):

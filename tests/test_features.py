@@ -237,7 +237,7 @@ class TestSegmentFrames:
             assert frames.num_frames == expected
             for i in range(frames.num_frames):
                 start = i * hop
-                assert np.array_equal(frames.frames[i], values[:, start : start + frame_size])
+                assert np.array_equal(frames.frames[i], values[:, start : start + frame_size].astype(np.float32))
                 assert frames.origin_columns[i] == start
 
     def test_too_short(self, rng):
@@ -446,6 +446,33 @@ class TestFramePersistence:
             path.write_bytes(bytes(data))
         with pytest.raises(CorruptModelFileError, match=match):
             F.load_frames(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: t.replace(b"<f4", b"<c8", 1), "'spectrogram' has an unknown dtype"),
+        (lambda t: t.replace(b"frame_size", b"hop_length", 1), "'hop_length' has an unknown dtype or repeats"),
+        (lambda t: t.replace(b"hop_size", b"hop_siz\xff", 1), "block name is not ASCII"),
+        (lambda t: t[:20], "truncated block table"),
+    ], ids=["unknown-dtype", "repeated-name", "non-ascii-name", "truncated-table"])
+    def test_malformed_block_table_rejected(self, tmp_path, edit, match):
+        """A re-checksummed block table whose entries do not parse."""
+        from conftest import random_frames, write_frame_archive
+
+        path = tmp_path / "b.frames"
+        write_frame_archive(path, random_frames(seed=7), edit=edit)
+        with pytest.raises(CorruptModelFileError, match=match):
+            F.load_frames(path)
+
+    def test_loaded_part_is_the_saved_float32_part_borrowing_the_file(self, tmp_path):
+        from conftest import random_frames
+
+        frames = random_frames(num_frames=15, n_mels=9, frame_size=5, hop_size=2, seed=3)
+        assert frames.parts[0].dtype == np.float32
+        path = tmp_path / "f.frames"
+        F.save_frames(frames, path)
+        part = F.load_frames(path).parts[0]
+        assert part.dtype == np.float32
+        assert not part.flags.owndata  # a view of the file's bytes, not a copy
+        assert np.array_equal(part, frames.parts[0])  # the round trip is the identity
 
     @pytest.mark.parametrize("version", [1, 2, 200])
     def test_future_version_rejected(self, tmp_path, version):
