@@ -97,21 +97,34 @@ class Vectorizer:
 
 
 class Detector:
-    """Uniform fit/score surface over frames, implemented per detector kind."""
+    """Fit on normal frames, then score every frame: one contract for every kind.
+
+    Each kind declares its `kind` tag, its `model_type` dataclass and whether
+    it is `vectorized` (consumes standardized rows), and supplies two hooks:
+    `_fit(inputs)` returns the fitted model, `_score(inputs)` scores with
+    `self.model`. A vectorized kind's hooks get its `vectorizer`'s rows
+    (fitted by fit(), reused by score()); the others get the frames. persist()
+    and restore() carry the vectorizer's statistics for vectorized kinds only.
+    """
 
     kind: str = ""
+    model_type: type | None = None
+    vectorized: bool = False
 
     def __init__(self):
         self.config_digest: bytes = b"\x00" * 32
         self.train_time_s: float = 0.0
-        self.seed: int = 0
         self.model = None
+        self.vectorizer = Vectorizer() if self.vectorized else None
 
     def fit(self, frames: FrameTensor) -> "Detector":
-        raise NotImplementedError
+        self.model = self._fit(self.vectorizer.fit(frames) if self.vectorized else frames)
+        return self
 
     def score(self, frames: FrameTensor) -> AnomalyScoreSeries:
-        raise NotImplementedError
+        if self.model is None:
+            raise ValueError("fit before score")
+        return self._score(self.vectorizer.transform(frames) if self.vectorized else frames)
 
     def persist(self, path) -> None:
         persist(self, path)
@@ -128,8 +141,8 @@ def persist(detector: Detector, path) -> None:
     The model dataclass's annotations fix each block's type: int and bool
     fields are "<i8" scalars, float fields "<f8" scalars, tuples and arrays
     "<f8", and a dict field one scalar per key ("extra.objective"). The
-    detector adds train_time_s and, with a vectorizer, its mean, std and
-    frame_shape.
+    detector adds train_time_s and, for a vectorized kind, its vectorizer's
+    mean, std and frame_shape.
     """
     model = detector.model
     if model is None:
@@ -142,11 +155,9 @@ def persist(detector: Detector, path) -> None:
             blocks.update({f"{f.name}.{key}": float(v) for key, v in value.items()})
         else:
             blocks[f.name] = hint(value) if hint in _SCALAR_DTYPES else value
-    vectorizer = getattr(detector, "vectorizer", None)
-    if vectorizer is not None:
-        blocks["mean"] = vectorizer.mean
-        blocks["std"] = vectorizer.std
-        blocks["frame_shape"] = vectorizer.frame_shape
+    if detector.vectorized:
+        vectorizer = detector.vectorizer
+        blocks.update(mean=vectorizer.mean, std=vectorizer.std, frame_shape=vectorizer.frame_shape)
     kind_tag = detector.kind.encode("ascii").ljust(8, b"\x00")
     header = MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + kind_tag + detector.config_digest
     Path(path).write_bytes(header + encode_blocks(blocks, header))
@@ -194,8 +205,11 @@ def read_model_header(path) -> tuple[str, int, bytes]:
 def restore(path) -> Detector:
     """Load any persisted detector; scores reproduce the original bit-exactly.
 
-    The model carries everything scoring needs; constructor settings that
-    only fit() reads (k, nu, hidden, tolerances) keep their class defaults.
+    The header's kind tag picks the detector class whose `kind` it is; that
+    class's `model_type` rebuilds the model from the blocks, and a vectorized
+    class gets its vectorizer's statistics back. Constructor settings that
+    only _fit() reads (k, nu, hidden, tolerances) keep their class defaults.
+    An unknown kind tag is a CorruptModelFileError.
     """
     from . import kmeans, lstm_ae, ocsvm  # deferred: those modules import this one
 
@@ -203,20 +217,15 @@ def restore(path) -> Detector:
     kind, version, digest = _parse_header(raw, path)
     if version != MODEL_VERSION:
         raise VersionMismatchError(f"{path}: model version {version}, supported {MODEL_VERSION}")
-    types = {
-        KIND_KMEANS: (kmeans.KMeansDetector, kmeans.KMeansModel),
-        KIND_OCSVM: (ocsvm.OcSvmDetector, ocsvm.OcSvmModel),
-        KIND_LSTM_AE: (lstm_ae.LstmAeDetector, lstm_ae.LstmAeModel),
-    }
+    types = {cls.kind: cls for cls in (kmeans.KMeansDetector, ocsvm.OcSvmDetector, lstm_ae.LstmAeDetector)}
     if kind not in types:
         raise CorruptModelFileError(f"{path}: unknown detector kind {kind!r}")
-    detector_type, model_type = types[kind]
     blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], path, raw[:_HEADER_LEN])
-    detector = detector_type()
-    detector.model = _model_from_blocks(model_type, blocks, path)
+    detector = types[kind]()
+    detector.model = _model_from_blocks(detector.model_type, blocks, path)
     detector.train_time_s = float(block(blocks, "train_time_s", path, ndim=0))
     detector.config_digest = digest
-    if hasattr(detector, "vectorizer"):
+    if detector.vectorized:
         vectorizer = detector.vectorizer
         vectorizer.mean = block(blocks, "mean", path, ndim=1).copy()
         vectorizer.std = block(blocks, "std", path, ndim=1).copy()

@@ -16,7 +16,6 @@ from .detector_api import (
     KIND_KMEANS,
     AnomalyScoreSeries,
     Detector,
-    Vectorizer,
     _sq_distances,
     check_dim,
 )
@@ -57,6 +56,8 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
     reached. inertia_history holds the nearest-centroid SSE before each
     update plus the final value; it is non-increasing.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if n < k:
@@ -116,9 +117,11 @@ def kmeans_score(model: KMeansModel, X) -> AnomalyScoreSeries:
 
 
 class KMeansDetector(Detector):
-    """Uniform-contract wrapper: vectorize frames, fit/score the K-Means core."""
+    """K-Means on standardized frame rows."""
 
     kind = KIND_KMEANS
+    model_type = KMeansModel
+    vectorized = True
 
     def __init__(self, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int = 0):
         super().__init__()
@@ -126,15 +129,9 @@ class KMeansDetector(Detector):
         self.max_iter = max_iter
         self.tol = tol
         self.seed = seed
-        self.vectorizer = Vectorizer()
-        self.model: KMeansModel | None = None
 
-    def fit(self, frames) -> "KMeansDetector":
-        X = self.vectorizer.fit(frames)
-        self.model = kmeans_fit(X, k=self.k, max_iter=self.max_iter, tol=self.tol, seed=self.seed)
-        return self
+    def _fit(self, rows) -> KMeansModel:
+        return kmeans_fit(rows, k=self.k, max_iter=self.max_iter, tol=self.tol, seed=self.seed)
 
-    def score(self, frames) -> AnomalyScoreSeries:
-        if self.model is None:
-            raise ValueError("fit before score")
-        return kmeans_score(self.model, self.vectorizer.transform(frames))
+    def _score(self, rows) -> AnomalyScoreSeries:
+        return kmeans_score(self.model, rows)

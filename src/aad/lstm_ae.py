@@ -217,6 +217,10 @@ def lstm_ae_train(
     epoch e. A non-finite batch loss aborts training and returns the last
     finite end-of-epoch checkpoint with a warning.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     X = np.ascontiguousarray(_model_batch(model, frames))  # batches gather from contiguous rows
     n = X.shape[0]
     if n < 1:
@@ -278,9 +282,10 @@ def lstm_ae_score(model: LstmAeModel, frames, block: int = 512) -> AnomalyScoreS
 
 
 class LstmAeDetector(Detector):
-    """Uniform-contract wrapper: frames in, reconstruction-error scores out."""
+    """Frames in, reconstruction-error scores out; no vectorizer."""
 
     kind = KIND_LSTM_AE
+    model_type = LstmAeModel
 
     def __init__(self, hidden: int = 64, epochs: int = 30, batch: int = 64,
                  lr: float = 1e-3, seed: int = 0):
@@ -290,16 +295,10 @@ class LstmAeDetector(Detector):
         self.batch = batch
         self.lr = lr
         self.seed = seed
-        self.model: LstmAeModel | None = None
 
-    def fit(self, frames) -> "LstmAeDetector":
+    def _fit(self, frames) -> LstmAeModel:
         init = lstm_ae_init(n_mels=frames.n_mels, hidden=self.hidden, seed=self.seed)
-        self.model = lstm_ae_train(
-            init, frames, epochs=self.epochs, batch=self.batch, lr=self.lr, seed=self.seed
-        )
-        return self
+        return lstm_ae_train(init, frames, epochs=self.epochs, batch=self.batch, lr=self.lr, seed=self.seed)
 
-    def score(self, frames) -> AnomalyScoreSeries:
-        if self.model is None:
-            raise ValueError("fit before score")
+    def _score(self, frames) -> AnomalyScoreSeries:
         return lstm_ae_score(self.model, frames)

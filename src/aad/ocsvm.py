@@ -22,7 +22,6 @@ from .detector_api import (
     KIND_OCSVM,
     AnomalyScoreSeries,
     Detector,
-    Vectorizer,
     _sq_distances,
     check_dim,
 )
@@ -200,9 +199,11 @@ def ocsvm_score(model: OcSvmModel, X) -> AnomalyScoreSeries:
 
 
 class OcSvmDetector(Detector):
-    """Uniform-contract wrapper around the SMO core."""
+    """The SMO core on standardized frame rows."""
 
     kind = KIND_OCSVM
+    model_type = OcSvmModel
+    vectorized = True
 
     def __init__(self, nu: float = 0.1, gamma="scale", tol: float = 1e-3, max_passes: int = 50):
         super().__init__()
@@ -210,15 +211,9 @@ class OcSvmDetector(Detector):
         self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-        self.vectorizer = Vectorizer()
-        self.model: OcSvmModel | None = None
 
-    def fit(self, frames) -> "OcSvmDetector":
-        X = self.vectorizer.fit(frames)
-        self.model = ocsvm_fit(X, nu=self.nu, gamma=self.gamma, tol=self.tol, max_passes=self.max_passes)
-        return self
+    def _fit(self, rows) -> OcSvmModel:
+        return ocsvm_fit(rows, nu=self.nu, gamma=self.gamma, tol=self.tol, max_passes=self.max_passes)
 
-    def score(self, frames) -> AnomalyScoreSeries:
-        if self.model is None:
-            raise ValueError("fit before score")
-        return ocsvm_score(self.model, self.vectorizer.transform(frames))
+    def _score(self, rows) -> AnomalyScoreSeries:
+        return ocsvm_score(self.model, rows)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from aad.audio_io import AudioClip
-from aad.blocks import encode_blocks
+from aad.blocks import decode_blocks, encode_blocks
+from aad.detector_api import _HEADER_LEN
 from aad.features import FrameTensor, MelSpectrogram
 
 
@@ -53,3 +54,11 @@ def write_frame_archive(path, tensor, tail=b"", edit=None, **overrides):
         table = edit(table)
     crc = zlib.crc32(table, zlib.crc32(header))
     Path(path).write_bytes(header + struct.pack("<I", crc) + table)
+
+
+def with_kind_tag(model_bytes: bytes, kind: bytes) -> bytes:
+    """A model file's bytes under another kind tag, the block checksum redone for the new header."""
+    header = model_bytes[:_HEADER_LEN]
+    blocks = decode_blocks(model_bytes[_HEADER_LEN:], "model", header)
+    header = header[:12] + kind.ljust(8, b"\x00") + header[20:]
+    return header + encode_blocks(blocks, header)

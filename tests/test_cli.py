@@ -11,7 +11,7 @@ from aad.detector_api import restore
 from aad.errors import ManifestError
 from aad.features import load_frames
 
-from conftest import random_frames, write_frame_archive
+from conftest import random_frames, with_kind_tag, write_frame_archive
 
 pytestmark = pytest.mark.cli
 
@@ -319,6 +319,16 @@ class TestCorruptInputs:
         assert "missing block 'frame_shape'" in err
         assert not (tmp_path / "s.scores").exists()
 
+    def test_unknown_detector_kind_is_a_data_error(self, tiny_bench, tmp_path, capsys):
+        model = tmp_path / "pca.model"
+        model.write_bytes(with_kind_tag((tiny_bench / "kmeans.model").read_bytes(), b"pca"))
+        capsys.readouterr()
+        rc = main(["score", "--model", str(model),
+                   "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
+        assert rc == 3
+        assert "unknown detector kind 'pca'" in capsys.readouterr().err
+        assert not (tmp_path / "s.scores").exists()
+
     @pytest.mark.parametrize("kind, field, value", [
         ("kmeans", "centroids", np.nan),
         ("ocsvm", "alphas", np.nan),
@@ -393,6 +403,28 @@ class TestCorruptInputs:
         capsys.readouterr()
         assert main(argv) == 3
         assert f"bad.{kind}:2:" in capsys.readouterr().err
+
+
+class TestDetectorSettings:
+    @pytest.mark.parametrize("kind, setting, message", [
+        ("kmeans", "kmeans_k = 0", "k must be >= 1, got 0"),
+        ("kmeans", "kmeans_k = -2", "k must be >= 1, got -2"),
+        ("lstmae", "lstm_batch = 0", "batch must be >= 1, got 0"),
+        ("lstmae", "lstm_epochs = -1", "epochs must be >= 0, got -1"),
+    ], ids=["kmeans_k-0", "kmeans_k-negative", "lstm_batch-0", "lstm_epochs-negative"])
+    def test_out_of_range_setting_is_a_usage_error(self, tmp_path, capsys, kind, setting, message):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{setting}\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", kind, "--config", str(config),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.model").exists()
 
 
 class TestInspect:

@@ -24,7 +24,7 @@ from aad.lstm_ae import LstmAeDetector
 from aad.ocsvm import OcSvmDetector
 from aad.synthgen import read_intervals
 
-from conftest import random_frames
+from conftest import random_frames, with_kind_tag
 
 
 class TestVectorizer:
@@ -219,6 +219,44 @@ class TestPersistence:
             path = tmp_path / f"{kind}.model"
             det.persist(path)
             assert read_model_header(path)[0] == kind
+
+
+each_kind = pytest.mark.parametrize("detector_type", [KMeansDetector, OcSvmDetector, LstmAeDetector],
+                                    ids=[KIND_KMEANS, KIND_OCSVM, KIND_LSTM_AE])
+
+
+class TestDetectorContract:
+    @each_kind
+    def test_score_before_fit_raises(self, detector_type):
+        with pytest.raises(ValueError, match="fit before score"):
+            detector_type().score(random_frames())
+
+    @each_kind
+    def test_persist_before_fit_raises(self, tmp_path, detector_type):
+        with pytest.raises(ValueError, match="cannot persist an unfitted detector"):
+            detector_type().persist(tmp_path / "m.model")
+        assert not (tmp_path / "m.model").exists()
+
+    def test_restored_vectorizer(self, tmp_path):
+        train = random_frames(num_frames=30, n_mels=4, frame_size=4, seed=17)
+        for det in _fitted_detectors(train):
+            det.persist(tmp_path / f"{det.kind}.model")
+            loaded = restore(tmp_path / f"{det.kind}.model")
+            if det.kind == KIND_LSTM_AE:
+                assert loaded.vectorizer is None
+                continue
+            assert np.array_equal(loaded.vectorizer.mean, det.vectorizer.mean)
+            assert np.array_equal(loaded.vectorizer.std, det.vectorizer.std)
+            assert loaded.vectorizer.frame_shape == det.vectorizer.frame_shape == (4, 4)
+
+    def test_unknown_kind_tag_rejected(self, tmp_path):
+        train = random_frames(num_frames=20, n_mels=4, frame_size=3, seed=18)
+        path = tmp_path / "m.model"
+        KMeansDetector(k=2, seed=0).fit(train).persist(path)
+        path.write_bytes(with_kind_tag(path.read_bytes(), b"pca"))
+        assert read_model_header(path)[0] == "pca"
+        with pytest.raises(CorruptModelFileError, match="unknown detector kind 'pca'"):
+            restore(path)
 
 
 def _mutants(pristine: bytes, trials: int):

@@ -85,6 +85,11 @@ class TestFit:
         with pytest.raises(TooFewSamplesError):
             kmeans_fit(np.ones((2, 3)), k=5)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            kmeans_fit(np.ones((4, 3)), k=k)
+
     def test_degenerate_identical_rows(self):
         rows = np.tile([1.0, 2.0], (10, 1))
         with pytest.warns(DegenerateDataWarning):

@@ -293,6 +293,15 @@ class TestTrain:
         trained = lstm_ae_train(model, X, epochs=2, batch=4, lr=1e-3, seed=5)
         assert trained.loss_history[0] == pytest.approx(untrained, abs=1e-15)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"batch": 0}, "batch must be >= 1, got 0"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ], ids=["batch", "epochs"])
+    def test_out_of_range_setting_rejected(self, rng, setting, message):
+        X = rng.uniform(0, 1, (8, 3, 4))
+        with pytest.raises(ValueError, match=message):
+            lstm_ae_train(lstm_ae_init(4, 3, seed=5), X, **setting)
+
     def test_initial_loss_spans_several_score_blocks(self, rng):
         X = rng.uniform(0, 1, (1100, 3, 4))  # three 512-frame blocks
         model = lstm_ae_init(4, 3, seed=5)
