@@ -40,9 +40,10 @@ class AudioClip:
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(s)):
+        lo, hi = np.min(s), np.max(s)  # a NaN or an infinity shows in one of them
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("samples must be finite")
-        if np.max(np.abs(s)) > 1.0 + 1e-9:
+        if max(hi, -lo) > 1.0 + 1e-9:
             raise ValueError("samples must lie within [-1, 1]")
         s = np.clip(s, -1.0, 1.0)
         s.flags.writeable = False
@@ -142,15 +143,22 @@ def load_wav(path) -> AudioClip:
 
 
 def save_wav(clip: AudioClip, path) -> None:
-    """Write a clip as mono PCM 16-bit WAV."""
-    ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
-    payload = ints.astype("<i2").tobytes()
+    """Write a clip as mono PCM 16-bit WAV.
+
+    The samples are scaled, rounded and clipped in one float64 buffer; the
+    header and the int16 payload are written separately, never joined.
+    """
+    ints = clip.samples * 32768.0
+    np.round(ints, out=ints)
+    np.clip(ints, -32768, 32767, out=ints)
+    payload = ints.astype("<i2")
     # format code, channels, sample rate, byte rate, block align, bits per sample
     fmt = struct.pack("<HHIIHH", _PCM, 1, clip.sample_rate, 2 * clip.sample_rate, 2, 16)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
+    head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    head += b"data" + struct.pack("<I", payload.nbytes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(b"RIFF" + struct.pack("<I", len(head) + payload.nbytes) + head)
+        fh.write(payload)
 
 
 def rms_normalize(clip: AudioClip, target_rms: float) -> RmsNormalizeResult:
@@ -158,7 +166,9 @@ def rms_normalize(clip: AudioClip, target_rms: float) -> RmsNormalizeResult:
 
     Samples pushed past +-1 by the gain are hard-clipped and counted. An
     input quieter than the silence threshold is returned unchanged with the
-    silent flag set (never divides by ~0).
+    silent flag set (never divides by ~0). The input clip is never modified:
+    the samples are scaled once into a new buffer, which is counted and
+    clipped in place and then copied by the returned AudioClip.
     """
     if not 0.0 < target_rms <= 1.0:
         raise ValueError(f"target_rms {target_rms} outside (0, 1]")
@@ -168,8 +178,8 @@ def rms_normalize(clip: AudioClip, target_rms: float) -> RmsNormalizeResult:
         return RmsNormalizeResult(clip=clip, gain=1.0, clipped=0, silent=True)
     gain = target_rms / rms
     scaled = clip.samples * gain
-    clipped = int(np.sum(np.abs(scaled) > 1.0))
-    scaled = np.clip(scaled, -1.0, 1.0)
+    clipped = int(np.count_nonzero(scaled > 1.0) + np.count_nonzero(scaled < -1.0))
+    np.clip(scaled, -1.0, 1.0, out=scaled)
     out = AudioClip(samples=scaled, sample_rate=clip.sample_rate)
     return RmsNormalizeResult(clip=out, gain=gain, clipped=clipped, silent=False)
 

@@ -37,6 +37,7 @@ from .errors import (
 )
 
 DB_FLOOR = -80.0
+_STFT_BLOCK = 512  # STFT columns per block in frame_pipeline: 8.4 MB of temporaries at n_fft 1024
 
 _FRAME_MAGIC = b"AADFRAME"
 _FRAME_VERSION = 3
@@ -185,6 +186,12 @@ def stft(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> StftMatri
     Column n is the length-n_fft DFT of samples [n*hop, n*hop + n_fft)
     multiplied by a periodic Hann window; only bins 0..n_fft/2 are kept.
     """
+    spec = _spectrum_rows(_analysis_windows(clip, n_fft, hop_length), hann_window(n_fft))
+    return StftMatrix(values=spec.T, n_fft=n_fft, hop_length=hop_length, sample_rate=clip.sample_rate)
+
+
+def _analysis_windows(clip: AudioClip, n_fft: int, hop_length: int) -> np.ndarray:
+    """Read-only view [n_cols x n_fft]: row n is samples [n*hop, n*hop + n_fft) of the clip."""
     if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
         raise InvalidFftSizeError(f"n_fft must be a power of two >= 2, got {n_fft}")
     if hop_length < 1:
@@ -192,9 +199,12 @@ def stft(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> StftMatri
     x = clip.samples
     if x.size < n_fft:
         raise SignalTooShortError(f"signal has {x.size} samples, need >= n_fft = {n_fft}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop_length]
-    spec = np.fft.rfft(windows * hann_window(n_fft), axis=1)
-    return StftMatrix(values=spec.T, n_fft=n_fft, hop_length=hop_length, sample_rate=clip.sample_rate)
+    return np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop_length]
+
+
+def _spectrum_rows(windows: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """The one STFT kernel, rfft of each windowed row: a block of rows gets the bits it has in the whole matrix."""
+    return np.fft.rfft(windows * window, axis=1)
 
 
 def hz_to_mel(f):
@@ -241,6 +251,26 @@ def mel_filterbank(
 def _shared_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax) -> MelFilterbank:
     """One read-only mel_filterbank per parameter set, reused by every frame_pipeline call."""
     return mel_filterbank(sample_rate, n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
+
+
+def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: MelFilterbank) -> MelSpectrogram:
+    """mel_power(stft(clip), fb), bit for bit, without the whole complex STFT.
+
+    rfft and |.|^2 run over blocks of _STFT_BLOCK columns into one
+    [n_cols x n_bins] power array; the filterbank GEMM runs once over all of
+    it, because a GEMM over column blocks does not give the same bits on the
+    ragged last block.
+    """
+    windows = _analysis_windows(clip, n_fft, hop_length)
+    window = hann_window(n_fft)
+    power = np.empty((windows.shape[0], n_fft // 2 + 1))
+    for a in range(0, windows.shape[0], _STFT_BLOCK):
+        rows = power[a : a + _STFT_BLOCK]
+        np.abs(_spectrum_rows(windows[a : a + _STFT_BLOCK], window), out=rows)
+        np.square(rows, out=rows)
+    return MelSpectrogram(
+        values=fb.weights @ power.T, stage="power", sample_rate=clip.sample_rate, hop_length=hop_length
+    )
 
 
 def mel_power(stft_matrix: StftMatrix, fb: MelFilterbank) -> MelSpectrogram:
@@ -325,8 +355,10 @@ def default_framing(
     hop_ratio: float = 0.2,
 ) -> tuple[int, int]:
     """Frame/hop sizes in spectrogram columns from a duration and overlap ratio."""
-    if sample_rate <= 0 or hop_length <= 0 or time_per_frame <= 0 or hop_ratio <= 0:
-        raise ValueError("all framing inputs must be positive")
+    for name, value in (("sample_rate", sample_rate), ("hop_length", hop_length),
+                        ("time_per_frame", time_per_frame), ("hop_ratio", hop_ratio)):
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     frame_size = _round_half_up(time_per_frame * sample_rate / hop_length)
     hop_size = max(1, _round_half_up(hop_ratio * frame_size))
     return frame_size, hop_size
@@ -355,12 +387,12 @@ def frame_pipeline(
 
     Stage order: optional RMS normalization, STFT, Mel power, dB, optional
     spectral gate, min-max normalization (float64), float32 frame segmentation.
+    The complex STFT is never held whole (_blocked_mel_power).
     """
     if target_rms is not None:
         clip = rms_normalize(clip, target_rms).clip
-    spec = stft(clip, n_fft=n_fft, hop_length=hop_length)
     fb = _shared_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
-    mel_db = power_to_db(mel_power(spec, fb))
+    mel_db = power_to_db(_blocked_mel_power(clip, n_fft, hop_length, fb))
     if denoise:
         profile = estimate_noise_profile(mel_db, denoise_percentile, margin_db=denoise_margin_db)
         mel_db = spectral_gate(mel_db, profile)

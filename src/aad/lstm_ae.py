@@ -67,8 +67,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def lstm_ae_init(n_mels: int = 128, hidden: int = 64, seed: int = 0) -> LstmAeModel:
     """Seeded init: weights uniform in [-1/sqrt(h), 1/sqrt(h)], forget bias 1."""
-    if n_mels < 1 or hidden < 1:
-        raise ValueError("dimensions must be positive")
+    if n_mels < 1:
+        raise ValueError(f"n_mels must be >= 1, got {n_mels}")
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(hidden)
     enc_W = rng.uniform(-scale, scale, size=(4 * hidden, n_mels + hidden))

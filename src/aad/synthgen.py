@@ -57,17 +57,29 @@ class LabeledClip:
             last_end = iv.end_s
 
 
-def _lowpass(noise: np.ndarray, sample_rate: int, cutoff_hz: float, order: int) -> np.ndarray:
+def _lowpass(spectrum: np.ndarray, n: int, sample_rate: int, cutoff_hz: float, order: int) -> np.ndarray:
     """FFT-domain low-pass with a Butterworth-shaped magnitude rolloff.
 
     A smooth rolloff (not a brick wall) keeps a small, varying energy floor
     above the cutoff, which is what real low-passed machine noise looks like.
+    spectrum is the rfft of a length-n signal; the filter takes ownership of it,
+    overwrites it with the filtered spectrum and returns the filtered signal.
     """
-    spectrum = np.fft.rfft(noise)
-    f = np.fft.rfftfreq(noise.size, d=1.0 / sample_rate)
-    response = 1.0 / np.sqrt(1.0 + (f / cutoff_hz) ** (2 * order))
-    response[f >= SILENT_ABOVE_HZ] = 0.0
-    return np.fft.irfft(spectrum * response, n=noise.size)
+    spectrum *= _lowpass_response(n, sample_rate, cutoff_hz, order)
+    return np.fft.irfft(spectrum, n=n)
+
+
+def _lowpass_response(n: int, sample_rate: int, cutoff_hz: float, order: int) -> np.ndarray:
+    """1 / sqrt(1 + (f / cutoff)^(2 order)) per rfft bin, 0 from SILENT_ABOVE_HZ up, built in one buffer."""
+    response = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    silent_from = np.searchsorted(response, SILENT_ABOVE_HZ)  # first bin at or above it
+    response /= cutoff_hz
+    response **= 2 * order
+    response += 1.0
+    np.sqrt(response, out=response)
+    np.divide(1.0, response, out=response)
+    response[silent_from:] = 0.0
+    return response
 
 
 def _usable_cpus() -> int:
@@ -89,7 +101,8 @@ def gen_normal(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> Au
 
     Tones are computed in blocks over the usable CPUs while this thread low-pass filters the
     noise (its large arrays stay on the main heap); the samples equal one full-length pass
-    bit for bit on any CPU count.
+    bit for bit on any CPU count. The noise is held as the raw draw, then its spectrum, then
+    the filtered signal: next to the tone sum, at most two clip-sized arrays are alive.
     """
     if duration_s < 1.0:
         raise ValueError("duration must be at least 1 s")
@@ -105,16 +118,16 @@ def gen_normal(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> Au
         am_phase = rng.uniform(0.0, 2.0 * np.pi)
         phases = [rng.uniform(0.0, 2.0 * np.pi) for _harmonic in range(3)]
         tones.append((f0, amp, am_freq, am_depth, am_phase, phases))
-    noise = rng.standard_normal(n)
     x = np.zeros(n)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         blocks = pool.map(lambda a: _add_tones(x, tones, a, sample_rate), range(0, n, _TONE_BLOCK))
-        noise = _lowpass(noise, sample_rate, LOWPASS_CUTOFF_HZ, _LOWPASS_ORDER)
+        noise = _lowpass(np.fft.rfft(rng.standard_normal(n)), n, sample_rate, LOWPASS_CUTOFF_HZ, _LOWPASS_ORDER)
         list(blocks)
     noise *= 0.3 * np.sqrt(np.mean(x**2)) / max(np.sqrt(np.mean(noise**2)), 1e-30)
     x += noise
+    del noise  # AudioClip's copy of x is the next full-length array
 
-    x *= 0.5 / np.max(np.abs(x))
+    x *= 0.5 / max(np.max(x), -np.min(x))
     return AudioClip(samples=x, sample_rate=sample_rate)
 
 
@@ -177,7 +190,7 @@ def inject_knocks(
         samples[i0 : i0 + m] += burst
         intervals.append(AnomalyInterval(start_s=start_s, end_s=end_s, kind="knock"))
 
-    samples = np.clip(samples, -1.0, 1.0)
+    np.clip(samples, -1.0, 1.0, out=samples)
     out = AudioClip(samples=samples, sample_rate=sr)
     return LabeledClip(
         clip=out,
@@ -223,7 +236,7 @@ def inject_transient(
 
     samples = clip.samples.copy()
     samples[i0 : i0 + m] += burst
-    samples = np.clip(samples, -1.0, 1.0)
+    np.clip(samples, -1.0, 1.0, out=samples)
     out = AudioClip(samples=samples, sample_rate=sr)
     interval = AnomalyInterval(start_s=start_s, end_s=end_s, kind="transient")
     return LabeledClip(

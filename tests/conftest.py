@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -14,6 +15,16 @@ from aad.features import FrameTensor, MelSpectrogram
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_clip(samples, sample_rate=16000):

@@ -23,7 +23,7 @@ from aad.errors import (
 )
 from aad.features import DB_FLOOR
 
-from conftest import make_clip, mel_db_matrix, sine_clip
+from conftest import make_clip, mel_db_matrix, sine_clip, traced_peak
 
 
 def wav_bytes(frames, channels=1, sample_rate=16000, fmt_code=1, bits=16, extra_chunks=()):
@@ -144,6 +144,20 @@ class TestLoadWav:
         assert again.sample_rate == clip.sample_rate
 
 
+class TestSaveWav:
+    def test_bytes_match_hand_built_wav(self, tmp_path, rng):
+        samples = rng.uniform(-1.0, 1.0, 4001)  # odd: the data chunk has an odd size
+        samples[:4] = [1.0, -1.0, 0.99999, -0.99999]
+        save_wav(make_clip(samples), tmp_path / "a.wav")
+        ints = np.clip(np.round(samples * 32768.0), -32768, 32767)
+        assert (tmp_path / "a.wav").read_bytes() == wav_bytes(ints)
+
+    def test_traced_peak_bounded(self, tmp_path, rng):
+        """One float64 buffer and the int16 payload: 1.25x measured, 2.0x with the joined bytes."""
+        clip = make_clip(rng.uniform(-1.0, 1.0, 30 * 16000))
+        assert traced_peak(lambda: save_wav(clip, tmp_path / "a.wav")) < 1.4 * clip.samples.nbytes
+
+
 class TestRmsNormalize:
     def test_sine_gain(self):
         result = rms_normalize(sine_clip(), target_rms=0.1)
@@ -181,6 +195,15 @@ class TestRmsNormalize:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             rms_normalize(sine_clip(), target_rms=0.0)
+
+    def test_matches_whole_array_expression_when_clipping(self, rng):
+        samples = rng.uniform(-0.5, 0.5, 10001)
+        result = rms_normalize(make_clip(samples), target_rms=0.9)
+        scaled = samples * (0.9 / np.sqrt(np.mean(samples**2)))
+        clipped = int(np.sum(np.abs(scaled) > 1.0))
+        assert np.any(scaled > 1.0) and np.any(scaled < -1.0)
+        assert result.clipped == clipped
+        assert np.array_equal(result.clip.samples, np.clip(scaled, -1.0, 1.0))
 
 
 class TestNoiseProfile:
@@ -261,6 +284,22 @@ class TestAudioClipInvariants:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             AudioClip(samples=np.array([np.nan]), sample_rate=16000)
+
+    @pytest.mark.parametrize("samples, message", [
+        ([0.5, np.nan, 0.1], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([-np.inf, 0.0], "finite"),
+        ([2.0, np.nan], "finite"),  # non-finite is reported before out of range
+        ([0.0, 1.5], r"within \[-1, 1\]"),
+        ([-1.0 - 1e-6, 0.0], r"within \[-1, 1\]"),
+    ], ids=["nan", "inf", "-inf", "nan-and-range", "above", "below"])
+    def test_rejection_messages(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            AudioClip(samples=np.array(samples), sample_rate=16000)
+
+    def test_tolerance_is_clipped_away(self):
+        clip = AudioClip(samples=np.array([1.0 + 5e-10, -1.0 - 5e-10]), sample_rate=16000)
+        assert np.array_equal(clip.samples, [1.0, -1.0])
 
     def test_samples_read_only(self):
         clip = make_clip([0.1, 0.2])

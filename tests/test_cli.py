@@ -426,6 +426,38 @@ class TestDetectorSettings:
         assert "Traceback" not in err
         assert not (tmp_path / "m.model").exists()
 
+    def test_zero_lstm_hidden_is_a_usage_error(self, tmp_path, capsys):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        config = tmp_path / "bad.cfg"
+        config.write_text("lstm_hidden = 0\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", "lstmae", "--config", str(config),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "hidden must be >= 1, got 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.model").exists()
+
+
+class TestFramingSettings:
+    @pytest.mark.parametrize("setting, message", [
+        ("hop_ratio = -1", "hop_ratio must be > 0, got -1.0"),
+        ("time_per_frame = 0", "time_per_frame must be > 0, got 0.0"),
+    ], ids=["hop_ratio-negative", "time_per_frame-0"])
+    def test_nonpositive_framing_is_a_usage_error(self, tiny_dataset, tmp_path, capsys, setting, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{setting}\n")
+        capsys.readouterr()
+        rc = main(["features", "--wav", str(tiny_dataset / "val.wav"), "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "val.frames").exists()
+
 
 class TestInspect:
     def test_matrix_round_trip(self, tmp_path, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aad import features as F
+from aad.audio_io import rms_normalize
 from aad.errors import (
     AllZeroSpectrogramError,
     InvalidBandRangeError,
@@ -14,7 +15,7 @@ from aad.errors import (
     CorruptModelFileError,
 )
 
-from conftest import make_clip, mel_db_matrix, sine_clip
+from conftest import make_clip, mel_db_matrix, sine_clip, traced_peak
 
 
 def naive_dft_column(segment):
@@ -344,6 +345,26 @@ class TestPipeline:
             norm = F.minmax_normalize(F.power_to_db(F.mel_power(spec, fb)))
             want = F.segment_frames(norm, *F.default_framing(16000, 256))
             assert np.array_equal(got.frames, want.frames)
+
+    def test_blocked_mel_power_equals_whole_matrix_chain(self, rng):
+        """Two full STFT blocks and a ragged 17-column one give the whole-matrix chain's bits."""
+        n_cols = 2 * F._STFT_BLOCK + 17
+        x = rng.uniform(-0.9, 0.9, 1024 + (n_cols - 1) * 512 + 300)
+        clip = rms_normalize(make_clip(x), 0.1).clip
+        fb = F.mel_filterbank(16000, 1024)
+        whole = F.mel_power(F.stft(clip), fb)
+        assert whole.n_cols == n_cols
+        assert np.array_equal(F._blocked_mel_power(clip, 1024, 512, fb).values, whole.values)
+        want = F.minmax_normalize(F.power_to_db(whole)).values.astype(np.float32)
+        assert np.array_equal(F.frame_pipeline(make_clip(x)).parts[0], want)
+
+    def test_traced_peak_bounded(self, rng):
+        """130 s: the normalized clip, the [n_cols x n_bins] power array and one block's temporaries.
+
+        2.5x the clip's float64 size measured; the whole-matrix STFT peaked at 5.0x.
+        """
+        clip = make_clip(rng.uniform(-0.9, 0.9, 130 * 16000))
+        assert traced_peak(lambda: F.frame_pipeline(clip)) < 2.75 * clip.samples.nbytes
 
     def test_frames_in_unit_interval(self, rng):
         x = rng.uniform(-0.8, 0.8, 48000)
