@@ -88,9 +88,10 @@ def load_wav(path) -> AudioClip:
     """Decode a WAV file to a normalized mono clip.
 
     16-bit samples are scaled by 1/32768; stereo collapses to the per-sample
-    channel mean; the header sample rate is kept as-is.
+    channel mean; the header sample rate is kept as-is. Payloads are views of
+    the file bytes; one float64 buffer takes the mean, then the (exact, power-of-two) scale.
     """
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
 
@@ -98,7 +99,7 @@ def load_wav(path) -> AudioClip:
     data_chunk = None
     offset = 12
     while offset + 8 <= len(raw):
-        chunk_id = raw[offset : offset + 4]
+        chunk_id = raw[offset : offset + 4].tobytes()
         (size,) = struct.unpack_from("<I", raw, offset + 4)
         payload = raw[offset + 8 : offset + 8 + size]
         if len(payload) < size:
@@ -133,12 +134,12 @@ def load_wav(path) -> AudioClip:
     n_frames = len(data_chunk) // frame_bytes
     if n_frames == 0:
         raise EmptyAudioError(f"{path}: data chunk holds no samples")
-    arr = np.frombuffer(data_chunk[: n_frames * frame_bytes], dtype=dtype)
-    arr = arr.reshape(n_frames, channels).astype(np.float64) * scale
-    mono = arr.mean(axis=1)
+    arr = np.frombuffer(data_chunk[: n_frames * frame_bytes], dtype=dtype).reshape(n_frames, channels)
+    mono = arr.mean(axis=1, dtype=np.float64)
+    mono *= scale
     if not np.all(np.isfinite(mono)):
         raise CorruptHeaderError(f"{path}: non-finite samples in data chunk")
-    mono = np.clip(mono, -1.0, 1.0)
+    np.clip(mono, -1.0, 1.0, out=mono)
     return AudioClip(samples=mono, sample_rate=int(sample_rate))
 
 

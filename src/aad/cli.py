@@ -43,12 +43,17 @@ SAMPLE_RATE = 16000
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Tag pipeline errors with the stage they came from."""
+    """Tag pipeline, usage (ValueError) and OS errors with the stage they came from."""
     try:
         yield
     except PipelineError as exc:
         if not str(exc).startswith(f"{name}:"):
             raise type(exc)(f"{name}: {exc}") from exc
+        raise
+    except (ValueError, OSError) as exc:
+        # re-raised as the plain base type: subclasses such as UnicodeDecodeError take other arguments
+        if not str(exc).startswith(f"{name}:"):
+            raise (ValueError if isinstance(exc, ValueError) else OSError)(f"{name}: {exc}") from exc
         raise
 
 
@@ -61,16 +66,12 @@ def _load_run_config(args) -> RunConfig:
 
 def _build_detector(kind: str, cfg: RunConfig):
     if kind == "kmeans":
-        det = KMeansDetector(k=cfg.kmeans_k, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, seed=cfg.seed)
+        det = KMeansDetector(k=cfg.kmeans_k, seed=cfg.seed)
     elif kind == "ocsvm":
-        det = OcSvmDetector(
-            nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma, tol=cfg.ocsvm_tol, max_passes=cfg.ocsvm_max_passes,
-        )
+        det = OcSvmDetector(nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma)
     elif kind == "lstmae":
-        det = LstmAeDetector(
-            hidden=cfg.lstm_hidden, epochs=cfg.lstm_epochs,
-            batch=cfg.lstm_batch, lr=cfg.lstm_lr, seed=cfg.seed,
-        )
+        det = LstmAeDetector(hidden=cfg.lstm_hidden, epochs=cfg.lstm_epochs,
+                             batch=cfg.lstm_batch, lr=cfg.lstm_lr, seed=cfg.seed)
     else:
         raise ValueError(f"unknown detector kind {kind!r}")
     det.config_digest = cfg.digest()
@@ -334,10 +335,7 @@ def write_inspect(wav, out, cfg: RunConfig) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     clip = load_wav(wav)
-    spec = feat.stft(clip, n_fft=cfg.n_fft, hop_length=cfg.hop_length)
-    fb = feat.mel_filterbank(clip.sample_rate, cfg.n_fft, n_mels=cfg.n_mels,
-                             fmin=cfg.fmin, fmax=cfg.fmax)
-    mel_db = feat.power_to_db(feat.mel_power(spec, fb))
+    mel_db = feat.clip_mel_db(clip, cfg.n_fft, cfg.hop_length, cfg.n_mels, cfg.fmin, cfg.fmax)
     coeffs = feat.mfcc(mel_db, n_mfcc=min(13, cfg.n_mels))
     freqs, amps = feat.fft_amplitude_spectrum(clip)
     write_matrix(out / "mel_db.tsv", "mel_db", mel_db.values)

@@ -31,12 +31,8 @@ class RunConfig:
     denoise_percentile: float = 20.0
     denoise_margin_db: float = 6.0
     kmeans_k: int = 8
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-4
     ocsvm_nu: float = 0.1
     ocsvm_gamma: float | str = "scale"
-    ocsvm_tol: float = 1e-3
-    ocsvm_max_passes: int = 50
     lstm_hidden: int = 64
     lstm_epochs: int = 30
     lstm_batch: int = 64

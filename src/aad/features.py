@@ -37,7 +37,7 @@ from .errors import (
 )
 
 DB_FLOOR = -80.0
-_STFT_BLOCK = 512  # STFT columns per block in frame_pipeline: 8.4 MB of temporaries at n_fft 1024
+_STFT_BLOCK = 512  # STFT columns per block in clip_mel_db: 8.4 MB of temporaries at n_fft 1024
 
 _FRAME_MAGIC = b"AADFRAME"
 _FRAME_VERSION = 3
@@ -249,7 +249,7 @@ def mel_filterbank(
 
 @functools.lru_cache(maxsize=16)
 def _shared_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax) -> MelFilterbank:
-    """One read-only mel_filterbank per parameter set, reused by every frame_pipeline call."""
+    """One read-only mel_filterbank per parameter set, reused by every clip_mel_db call."""
     return mel_filterbank(sample_rate, n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
 
 
@@ -271,6 +271,12 @@ def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: MelFilt
     return MelSpectrogram(
         values=fb.weights @ power.T, stage="power", sample_rate=clip.sample_rate, hop_length=hop_length
     )
+
+
+def clip_mel_db(clip: AudioClip, n_fft: int, hop_length: int, n_mels: int, fmin: float, fmax) -> MelSpectrogram:
+    """power_to_db(mel_power(stft(clip), mel_filterbank(...))) bit for bit, from the shared filterbank."""
+    fb = _shared_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
+    return power_to_db(_blocked_mel_power(clip, n_fft, hop_length, fb))
 
 
 def mel_power(stft_matrix: StftMatrix, fb: MelFilterbank) -> MelSpectrogram:
@@ -387,12 +393,11 @@ def frame_pipeline(
 
     Stage order: optional RMS normalization, STFT, Mel power, dB, optional
     spectral gate, min-max normalization (float64), float32 frame segmentation.
-    The complex STFT is never held whole (_blocked_mel_power).
+    The complex STFT is never held whole (clip_mel_db).
     """
     if target_rms is not None:
         clip = rms_normalize(clip, target_rms).clip
-    fb = _shared_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
-    mel_db = power_to_db(_blocked_mel_power(clip, n_fft, hop_length, fb))
+    mel_db = clip_mel_db(clip, n_fft, hop_length, n_mels, fmin, fmax)
     if denoise:
         profile = estimate_noise_profile(mel_db, denoise_percentile, margin_db=denoise_margin_db)
         mel_db = spectral_gate(mel_db, profile)

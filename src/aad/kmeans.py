@@ -49,11 +49,15 @@ def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centroids
 
 
-def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int = 0) -> KMeansModel:
+_MAX_ITER = 300  # Lloyd iterations at most; the value of scikit-learn's KMeans max_iter
+_TOL = 1e-4  # stop once no centroid moves this far; the value of scikit-learn's KMeans tol
+
+
+def kmeans_fit(X, k: int = 8, seed: int = 0) -> KMeansModel:
     """Lloyd iterations from k-means++ seeding.
 
-    Stops when the max centroid displacement drops below tol or max_iter is
-    reached. inertia_history holds the nearest-centroid SSE before each
+    Stops when the max centroid displacement drops below _TOL or _MAX_ITER
+    is reached. inertia_history holds the nearest-centroid SSE before each
     update plus the final value; it is non-increasing.
     """
     if k < 1:
@@ -76,7 +80,7 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
     history: list[float] = []
     iterations = 0
     rows_sq = np.sum(rows**2, axis=1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _sq_distances(rows, centroids, a_sq=rows_sq)
         labels = np.argmin(d2, axis=1)
         min_d2 = d2[np.arange(n), labels]
@@ -96,7 +100,7 @@ def kmeans_fit(X, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int 
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         iterations += 1
-        if shift < tol:
+        if shift < _TOL:
             break
 
     d2 = _sq_distances(rows, centroids, a_sq=rows_sq)
@@ -123,15 +127,13 @@ class KMeansDetector(Detector):
     model_type = KMeansModel
     vectorized = True
 
-    def __init__(self, k: int = 8, max_iter: int = 300, tol: float = 1e-4, seed: int = 0):
+    def __init__(self, k: int = 8, seed: int = 0):
         super().__init__()
         self.k = k
-        self.max_iter = max_iter
-        self.tol = tol
         self.seed = seed
 
     def _fit(self, rows) -> KMeansModel:
-        return kmeans_fit(rows, k=self.k, max_iter=self.max_iter, tol=self.tol, seed=self.seed)
+        return kmeans_fit(rows, k=self.k, seed=self.seed)
 
     def _score(self, rows) -> AnomalyScoreSeries:
         return kmeans_score(self.model, rows)

@@ -27,6 +27,7 @@ from .errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
 from .features import FrameTensor
 
 _PARAM_NAMES = ("enc_W", "enc_b", "dec_W", "dec_b", "proj_W", "proj_b")
+_SCORE_BLOCK = 512  # frames per forward pass when scoring: bounds the [T x B x 4h] gate arrays
 
 
 @dataclass
@@ -270,17 +271,17 @@ def lstm_ae_train(
     return _finish(current, history, batch, lr, seed)
 
 
-def _block_mse(model: LstmAeModel, X: np.ndarray, block: int = 512) -> np.ndarray:
-    """Per-frame reconstruction MSE, forwarded `block` frames at a time so memory stays bounded."""
+def _block_mse(model: LstmAeModel, X: np.ndarray) -> np.ndarray:
+    """Per-frame reconstruction MSE, forwarded _SCORE_BLOCK frames at a time so memory stays bounded."""
     mse = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], block):
-        mse[start : start + block] = lstm_ae_forward(model, X[start : start + block]).mse
+    for start in range(0, X.shape[0], _SCORE_BLOCK):
+        mse[start : start + _SCORE_BLOCK] = lstm_ae_forward(model, X[start : start + _SCORE_BLOCK]).mse
     return mse
 
 
-def lstm_ae_score(model: LstmAeModel, frames, block: int = 512) -> AnomalyScoreSeries:
-    """Per-frame reconstruction MSE, evaluated in blocks."""
-    return AnomalyScoreSeries(scores=_block_mse(model, _model_batch(model, frames), block))
+def lstm_ae_score(model: LstmAeModel, frames) -> AnomalyScoreSeries:
+    """Per-frame reconstruction MSE, forwarded _SCORE_BLOCK frames at a time (_block_mse)."""
+    return AnomalyScoreSeries(scores=_block_mse(model, _model_batch(model, frames)))
 
 
 class LstmAeDetector(Detector):

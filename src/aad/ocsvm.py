@@ -69,15 +69,11 @@ def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float, b_sq=None) -> n
 # 162 / 138 repeats; keeping none made those fits 27-33% slower. Paper size
 # (n = 7104): 1180 rows fit and 1 of 1352 requests hits them (a 1024-row LRU: 21).
 KERNEL_ROW_BYTES = 64 * 2**20
+_DECISION_BLOCK = 2048  # rows per [block x n_sv] kernel block when scoring
+_TOL = 1e-3  # default stopping tolerance on the KKT gap, LIBSVM's default
 
 
-def ocsvm_fit(
-    X,
-    nu: float = 0.1,
-    gamma="scale",
-    tol: float = 1e-3,
-    max_passes: int = 50,
-) -> OcSvmModel:
+def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: int = 50) -> OcSvmModel:
     """SMO over maximal-violating pairs until the KKT gap drops below tol.
 
     max_passes bounds the pair updates at max_passes * n; hitting the budget
@@ -182,12 +178,12 @@ def ocsvm_fit(
     )
 
 
-def ocsvm_decision(model: OcSvmModel, rows: np.ndarray, block: int = 2048) -> np.ndarray:
-    """g(x) = sum_j alpha_j k(x_j, x), evaluated in blocks."""
+def ocsvm_decision(model: OcSvmModel, rows: np.ndarray) -> np.ndarray:
+    """g(x) = sum_j alpha_j k(x_j, x), evaluated _DECISION_BLOCK rows at a time."""
     out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], block):
-        kernel = rbf_kernel_block(rows[start : start + block], model.support_vectors, model.gamma, model.sv_sq_norms)
-        out[start : start + block] = kernel @ model.alphas
+    for a in range(0, rows.shape[0], _DECISION_BLOCK):
+        kernel = rbf_kernel_block(rows[a : a + _DECISION_BLOCK], model.support_vectors, model.gamma, model.sv_sq_norms)
+        out[a : a + _DECISION_BLOCK] = kernel @ model.alphas
     return out
 
 
@@ -205,15 +201,14 @@ class OcSvmDetector(Detector):
     model_type = OcSvmModel
     vectorized = True
 
-    def __init__(self, nu: float = 0.1, gamma="scale", tol: float = 1e-3, max_passes: int = 50):
+    def __init__(self, nu: float = 0.1, gamma="scale", tol: float = _TOL):
         super().__init__()
         self.nu = nu
         self.gamma = gamma
         self.tol = tol
-        self.max_passes = max_passes
 
     def _fit(self, rows) -> OcSvmModel:
-        return ocsvm_fit(rows, nu=self.nu, gamma=self.gamma, tol=self.tol, max_passes=self.max_passes)
+        return ocsvm_fit(rows, nu=self.nu, gamma=self.gamma, tol=self.tol)
 
     def _score(self, rows) -> AnomalyScoreSeries:
         return ocsvm_score(self.model, rows)

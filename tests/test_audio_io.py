@@ -143,6 +143,26 @@ class TestLoadWav:
         assert np.array_equal(clip.samples, again.samples)
         assert again.sample_rate == clip.sample_rate
 
+    @pytest.mark.parametrize("channels, fmt_code, bits", [(1, 1, 16), (2, 1, 16), (1, 3, 32), (2, 3, 32)],
+                             ids=["mono-pcm16", "stereo-pcm16", "mono-float32", "stereo-float32"])
+    def test_samples_match_the_scale_then_mean_expression(self, tmp_path, rng, channels, fmt_code, bits):
+        """Mean first, then the power-of-two scale: the bits of scaling each channel before the mean."""
+        if fmt_code == 1:
+            frames, dtype, scale = rng.integers(-32768, 32768, size=(4001, channels)), "<i2", 1.0 / 32768.0
+            frames[:3] = [-32768] * channels, [32767] * channels, [1] * channels
+        else:
+            frames, dtype, scale = rng.uniform(-1.0, 1.0, size=(4001, channels)), "<f4", 1.0
+        path = write_wav(tmp_path, "w.wav", frames=frames.ravel(), channels=channels, fmt_code=fmt_code, bits=bits)
+        stored = np.asarray(frames, dtype=dtype)
+        want = np.clip((stored.astype(np.float64) * scale).mean(axis=1), -1.0, 1.0)
+        assert np.array_equal(load_wav(path).samples, want)
+
+    def test_traced_peak_bounded(self, tmp_path, rng):
+        """The file bytes, one float64 buffer and AudioClip's copy: 2.25x measured, 3.5x decoding in steps."""
+        clip = make_clip(rng.uniform(-1.0, 1.0, 30 * 16000))
+        save_wav(clip, tmp_path / "a.wav")
+        assert traced_peak(lambda: load_wav(tmp_path / "a.wav")) < 2.5 * clip.samples.nbytes
+
 
 class TestSaveWav:
     def test_bytes_match_hand_built_wav(self, tmp_path, rng):

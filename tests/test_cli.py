@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from aad.detector_api import restore
 from aad.errors import ManifestError
 from aad.features import load_frames
 
-from conftest import random_frames, with_kind_tag, write_frame_archive
+from conftest import make_clip, random_frames, with_kind_tag, write_frame_archive
 
 pytestmark = pytest.mark.cli
 
@@ -441,6 +444,34 @@ class TestDetectorSettings:
         assert not (tmp_path / "m.model").exists()
 
 
+class TestStageTags:
+    def test_train_tags_a_usage_error(self, tmp_path, capsys):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        (tmp_path / "bad.cfg").write_text("kmeans_k = 0\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", "kmeans", "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: train: k must be >= 1, got 0\n"
+
+    def test_features_tags_a_missing_wav(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc = main(["features", "--wav", str(tmp_path / "missing.wav"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: features: [Errno 2] ")
+
+    def test_bench_tags_the_failing_detector(self, tiny_dataset, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text((tiny_dataset / "fast.txt").read_text().replace("kmeans_k = 8", "kmeans_k = 0"))
+        capsys.readouterr()
+        rc = main(["bench", "--manifest", str(tiny_dataset / "manifest.tsv"), "--out", str(tmp_path / "o"),
+                   "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: train[kmeans]: k must be >= 1, got 0\n"
+        assert not (tmp_path / "o" / "kmeans.model").exists()
+
+
 class TestFramingSettings:
     @pytest.mark.parametrize("setting, message", [
         ("hop_ratio = -1", "hop_ratio must be > 0, got -1.0"),
@@ -490,6 +521,20 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "inspect:" in err
 
+    def test_mel_db_is_the_whole_matrix_chain(self, tmp_path, rng):
+        """Two full STFT blocks and a ragged 17-column one: the bits of the reference chain."""
+        from aad.audio_io import load_wav, save_wav
+        from aad.features import _STFT_BLOCK, mel_filterbank, mel_power, power_to_db, stft
+
+        n_cols = 2 * _STFT_BLOCK + 17
+        save_wav(make_clip(rng.uniform(-0.9, 0.9, 1024 + (n_cols - 1) * 512 + 300)), tmp_path / "a.wav")
+        assert main(["inspect", "--wav", str(tmp_path / "a.wav"), "--out", str(tmp_path / "ins")]) == 0
+        clip = load_wav(tmp_path / "a.wav")
+        want = power_to_db(mel_power(stft(clip), mel_filterbank(clip.sample_rate, 1024))).values
+        _, mel_db = read_matrix(tmp_path / "ins" / "mel_db.tsv")
+        assert mel_db.shape == (128, n_cols)
+        assert np.array_equal(mel_db, want)
+
     def test_fft_matrix_has_freq_and_amp_rows(self, tiny_dataset, tmp_path):
         main(["inspect", "--wav", str(tiny_dataset / "val.wav"), "--out", str(tmp_path / "i2")])
         _, fft = read_matrix(tmp_path / "i2" / "fft_amplitude.tsv")
@@ -536,6 +581,22 @@ class TestConfig:
 
         with pytest.raises(ConfigError):
             load_config(bad)
+
+    @pytest.mark.parametrize("key", ["kmeans_max_iter", "kmeans_tol", "ocsvm_tol", "ocsvm_max_passes"])
+    def test_removed_solver_key_is_a_data_error(self, tmp_path, capsys, key):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        (tmp_path / "old.cfg").write_text(f"{key} = 1\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", "kmeans", "--config", str(tmp_path / "old.cfg"),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 3
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Config keys cover"):readme.index("The calibration grid is not")]
+        assert re.findall(r"`(\w+)`", paragraph) == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_round_trip_via_write(self, tmp_path):
         cfg = RunConfig(n_fft=2048, denoise=True, ocsvm_gamma=0.125, fmax=6000.0, seed=11)
@@ -641,8 +702,7 @@ class TestManifest:
             hop_size=parts[0].hop_size, sample_rate=parts[0].sample_rate, hop_length=parts[0].hop_length,
         )
         config = load_config(cfg)
-        direct = KMeansDetector(k=config.kmeans_k, max_iter=config.kmeans_max_iter,
-                                tol=config.kmeans_tol, seed=config.seed).fit(stacked)
+        direct = KMeansDetector(k=config.kmeans_k, seed=config.seed).fit(stacked)
         restored = restore(out / "kmeans.model")
         assert restored.model.centroids.shape[0] == config.kmeans_k
         assert np.array_equal(restored.model.centroids, direct.model.centroids)
