@@ -85,10 +85,7 @@ def select_by_f1(scores, labels, candidates) -> CalibrationResult:
         p, r, f1 = precision_recall_f1(confusion(y, preds))
         rows.append(SweepRow(cand.percentile, cand.threshold, p, r, f1))
 
-    best = rows[0]
-    for row in rows[1:]:
-        if row.f1 > best.f1:
-            best = row
+    best = max(rows, key=lambda row: row.f1)  # the first of equals: the lowest percentile
     return CalibrationResult(
         threshold=best.threshold,
         percentile=best.percentile,

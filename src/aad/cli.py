@@ -46,15 +46,10 @@ def _stage(name: str):
     """Tag pipeline, usage (ValueError) and OS errors with the stage they came from."""
     try:
         yield
-    except PipelineError as exc:
-        if not str(exc).startswith(f"{name}:"):
-            raise type(exc)(f"{name}: {exc}") from exc
-        raise
-    except (ValueError, OSError) as exc:
-        # re-raised as the plain base type: subclasses such as UnicodeDecodeError take other arguments
-        if not str(exc).startswith(f"{name}:"):
-            raise (ValueError if isinstance(exc, ValueError) else OSError)(f"{name}: {exc}") from exc
-        raise
+    except (PipelineError, ValueError, OSError) as exc:
+        # other errors become the plain base type: subclasses such as UnicodeDecodeError take other arguments
+        tagged = type(exc) if isinstance(exc, PipelineError) else ValueError if isinstance(exc, ValueError) else OSError
+        raise tagged(f"{name}: {exc}") from exc
 
 
 def _load_run_config(args) -> RunConfig:

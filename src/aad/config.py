@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError, ManifestError
 
@@ -76,30 +77,26 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _coerce(name: str, text: str, field_type):
-    text = text.strip()
-    lowered = text.lower()
-    if name in ("fmax", "target_rms"):
-        return None if lowered in ("none", "") else float(text)
-    if name == "ocsvm_gamma":
-        return "scale" if lowered == "scale" else float(text)
-    if field_type is bool or lowered in ("true", "false"):
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: cannot parse boolean from {text!r}")
-    if field_type is int:
-        return int(text)
-    if field_type is float:
-        return float(text)
-    return text
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True, "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse(text: str, hint):
+    """One value by its field's annotation: int, float, bool, float | None ("none") or float | str ("scale")."""
+    word = text.lower()
+    if hint is bool:
+        if word not in _BOOLEANS:
+            raise ValueError(f"cannot parse boolean from {text!r}")
+        return _BOOLEANS[word]
+    if word == "none" and hint == float | None:
+        return None
+    if word == "scale" and hint == float | str:
+        return "scale"
+    return int(text) if hint is int else float(text)
 
 
 def load_config(path) -> RunConfig:
-    """Parse a key = value config file; unknown keys are errors."""
-    # fmax, target_rms and ocsvm_gamma have default types that _coerce special-cases
-    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    """Parse a key = value config file; unknown keys and values their field's type rejects are errors."""
+    hints = get_type_hints(RunConfig)
     values = {}
     for lineno, line in _text_lines(path, ConfigError):
         stripped = line.strip()
@@ -109,10 +106,10 @@ def load_config(path) -> RunConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        if key not in types:
+        if key not in hints:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _coerce(key, value, types[key])
+            values[key] = _parse(value.strip(), hints[key])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return RunConfig(**values)

@@ -83,10 +83,6 @@ class MelFilterbank:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n_mels(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True)
 class MelSpectrogram:
@@ -363,8 +359,10 @@ def default_framing(
     """Frame/hop sizes in spectrogram columns from a duration and overlap ratio."""
     for name, value in (("sample_rate", sample_rate), ("hop_length", hop_length),
                         ("time_per_frame", time_per_frame), ("hop_ratio", hop_ratio)):
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     frame_size = _round_half_up(time_per_frame * sample_rate / hop_length)
     hop_size = max(1, _round_half_up(hop_ratio * frame_size))
     return frame_size, hop_size

@@ -224,6 +224,8 @@ def lstm_ae_train(
         raise ValueError(f"batch must be >= 1, got {batch}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     X = np.ascontiguousarray(_model_batch(model, frames))  # batches gather from contiguous rows
     n = X.shape[0]
     if n < 1:

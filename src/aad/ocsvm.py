@@ -47,15 +47,15 @@ class OcSvmModel:
 
 
 def resolve_gamma(gamma, rows: np.ndarray) -> float:
-    """'scale' resolves to 1 / (d * var(X)); explicit positive floats pass through."""
+    """'scale' resolves to 1 / (d * var(X)); explicit finite positive floats pass through."""
     if gamma == "scale":
         var = float(rows.var())
         if var <= 0:
             var = 1.0
         return 1.0 / (rows.shape[1] * var)
     g = float(gamma)
-    if g <= 0:
-        raise ValueError(f"gamma must be positive, got {g}")
+    if not 0 < g < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {g}")
     return g
 
 
@@ -111,8 +111,7 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: 
     def kernel_row(i: int) -> np.ndarray:
         k = kept.get(i)
         if k is None:
-            d2 = sq_norms + sq_norms[i] - 2.0 * (rows @ rows[i])
-            k = np.exp(-g * np.maximum(d2, 0.0))
+            k = rbf_kernel_block(rows[i : i + 1], rows, g, b_sq=sq_norms)[0]
             if k.nbytes * (len(kept) + 1) <= KERNEL_ROW_BYTES:
                 kept[i] = k
         return k

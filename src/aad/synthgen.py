@@ -189,13 +189,7 @@ def inject_knocks(
             burst *= rng.uniform(2.0, 3.0) * background_rms / peak
         samples[i0 : i0 + m] += burst
         intervals.append(AnomalyInterval(start_s=start_s, end_s=end_s, kind="knock"))
-
-    np.clip(samples, -1.0, 1.0, out=samples)
-    out = AudioClip(samples=samples, sample_rate=sr)
-    return LabeledClip(
-        clip=out,
-        intervals=tuple(intervals),
-    )
+    return _labeled(samples, sr, intervals)
 
 
 def inject_transient(
@@ -236,13 +230,13 @@ def inject_transient(
 
     samples = clip.samples.copy()
     samples[i0 : i0 + m] += burst
+    return _labeled(samples, sr, [AnomalyInterval(start_s=start_s, end_s=end_s, kind="transient")])
+
+
+def _labeled(samples: np.ndarray, sample_rate: int, intervals) -> LabeledClip:
+    """The injectors' common tail: clip the samples to [-1, 1] in place, wrap them and attach the intervals."""
     np.clip(samples, -1.0, 1.0, out=samples)
-    out = AudioClip(samples=samples, sample_rate=sr)
-    interval = AnomalyInterval(start_s=start_s, end_s=end_s, kind="transient")
-    return LabeledClip(
-        clip=out,
-        intervals=(interval,),
-    )
+    return LabeledClip(clip=AudioClip(samples=samples, sample_rate=sample_rate), intervals=tuple(intervals))
 
 
 def frame_labels(intervals, frames: FrameTensor) -> np.ndarray:

@@ -490,6 +490,50 @@ class TestFramingSettings:
         assert not (tmp_path / "out" / "val.frames").exists()
 
 
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("setting, message", [
+        ("hop_ratio = inf", "hop_ratio must be finite, got inf"),
+        ("time_per_frame = inf", "time_per_frame must be finite, got inf"),
+        ("time_per_frame = nan", "time_per_frame must be > 0, got nan"),
+    ], ids=["hop_ratio-inf", "time_per_frame-inf", "time_per_frame-nan"])
+    def test_nonfinite_framing_is_a_usage_error(self, tiny_dataset, tmp_path, capsys, setting, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{setting}\n")
+        capsys.readouterr()
+        rc = main(["features", "--wav", str(tiny_dataset / "val.wav"), "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: features: {message}\n"
+        assert not (tmp_path / "out" / "val.frames").exists()
+
+    def test_nonfinite_framing_stops_synth_before_any_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("hop_ratio = inf\n")
+        capsys.readouterr()
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--config", str(config),
+                   "--normal-s", "24", "--anomalous-s", "40"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: hop_ratio must be finite, got inf\n"
+        assert not any((tmp_path / "d").iterdir())
+
+    @pytest.mark.parametrize("kind, setting, message", [
+        ("lstmae", "lstm_lr = nan", "lr must be finite and > 0, got nan"),
+        ("lstmae", "lstm_lr = -1", "lr must be finite and > 0, got -1.0"),
+        ("ocsvm", "ocsvm_gamma = nan", "gamma must be finite and positive, got nan"),
+    ], ids=["lstm_lr-nan", "lstm_lr-negative", "ocsvm_gamma-nan"])
+    def test_bad_solver_setting_writes_no_model(self, tmp_path, capsys, kind, setting, message):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        (tmp_path / "bad.cfg").write_text(f"{setting}\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", kind, "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: train: {message}\n"
+        assert not (tmp_path / "m.model").exists()
+
+
 class TestInspect:
     def test_matrix_round_trip(self, tmp_path, rng):
         matrix = rng.standard_normal((7, 11))
@@ -597,6 +641,41 @@ class TestConfig:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         paragraph = readme[readme.index("Config keys cover"):readme.index("The calibration grid is not")]
         assert re.findall(r"`(\w+)`", paragraph) == [f.name for f in dataclasses.fields(RunConfig)]
+
+    @pytest.mark.parametrize("line", ["kmeans_k = true", "lstm_epochs = false", "n_fft = none", "fmax = scale",
+                                      "ocsvm_gamma = none", "denoise = 2", "fmax ="])
+    def test_value_outside_the_declared_type_is_a_data_error(self, tmp_path, line):
+        from aad.errors import ConfigError
+
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed = 3\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad value for {key}: "):
+            load_config(path)
+
+    def test_boolean_word_in_an_integer_key_exits_3(self, tmp_path, capsys):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        (tmp_path / "bad.cfg").write_text("kmeans_k = true\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", "kmeans", "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "bad.cfg:1: bad value for kmeans_k" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("line, key, value", [
+        ("denoise = yes", "denoise", True), ("denoise = Off", "denoise", False), ("denoise = 1", "denoise", True),
+        ("fmax = none", "fmax", None), ("target_rms = None", "target_rms", None), ("fmax = 6000", "fmax", 6000.0),
+        ("ocsvm_gamma = scale", "ocsvm_gamma", "scale"), ("ocsvm_gamma = 0.5", "ocsvm_gamma", 0.5),
+        ("lstm_epochs = 0", "lstm_epochs", 0), ("lstm_lr = 1e-2", "lstm_lr", 0.01),
+    ])
+    def test_value_parsed_by_its_declared_type(self, tmp_path, line, key, value):
+        (tmp_path / "c.cfg").write_text(f"{line}\n")
+        parsed = getattr(load_config(tmp_path / "c.cfg"), key)
+        assert parsed == value and type(parsed) is type(value)
 
     def test_round_trip_via_write(self, tmp_path):
         cfg = RunConfig(n_fft=2048, denoise=True, ocsvm_gamma=0.125, fmax=6000.0, seed=11)

@@ -87,6 +87,11 @@ class TestStft:
         with pytest.raises(InvalidFftSizeError):
             F.stft(make_clip(np.zeros(4096)), n_fft=1000)
 
+    @pytest.mark.parametrize("hop_length", [0, -512])
+    def test_hop_length_below_one(self, hop_length):
+        with pytest.raises(ValueError, match="hop_length must be >= 1"):
+            F.stft(make_clip(np.zeros(4096)), n_fft=1024, hop_length=hop_length)
+
 
 class TestMelFilterbank:
     def test_support_boundaries(self):
@@ -313,6 +318,17 @@ class TestDefaultFraming:
     def test_hop_clamped_to_one(self):
         frame_size, hop = F.default_framing(16000, 512, 0.512, 0.001)
         assert hop == 1
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"time_per_frame": np.inf}, "time_per_frame must be finite, got inf"),
+        ({"hop_ratio": np.inf}, "hop_ratio must be finite, got inf"),
+        ({"time_per_frame": np.nan}, "time_per_frame must be > 0, got nan"),
+        ({"hop_ratio": np.nan}, "hop_ratio must be > 0, got nan"),
+        ({"hop_ratio": -np.inf}, "hop_ratio must be > 0, got -inf"),
+    ], ids=["time_per_frame-inf", "hop_ratio-inf", "time_per_frame-nan", "hop_ratio-nan", "hop_ratio-minus-inf"])
+    def test_nonfinite_rejected_by_name(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            F.default_framing(16000, 512, **setting)
 
 
 class TestPipeline:

@@ -302,6 +302,12 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             lstm_ae_train(lstm_ae_init(4, 3, seed=5), X, **setting)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0])
+    def test_lr_not_finite_and_positive_rejected(self, rng, lr):
+        X = rng.uniform(0, 1, (8, 3, 4))
+        with pytest.raises(ValueError, match=f"lr must be finite and > 0, got {lr}"):
+            lstm_ae_train(lstm_ae_init(4, 3, seed=5), X, lr=lr)
+
     def test_initial_loss_spans_several_score_blocks(self, rng):
         X = rng.uniform(0, 1, (1100, 3, 4))  # three 512-frame blocks
         model = lstm_ae_init(4, 3, seed=5)

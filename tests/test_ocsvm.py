@@ -87,6 +87,16 @@ class TestFit:
             assert np.mean(scores > 0) <= nu + 1.0 / n
             assert model.alphas.size / n >= nu - 1.0 / n
 
+    @pytest.mark.parametrize("nu", [0.0, -0.1, 1.5, np.nan])
+    def test_nu_outside_unit_interval_rejected(self, nu):
+        with pytest.raises(ValueError, match=r"nu must be in \(0, 1\]"):
+            ocsvm_fit(np.random.default_rng(0).standard_normal((20, 2)), nu=nu)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, "nan"])
+    def test_nonfinite_gamma_rejected(self, rng, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be finite and positive, got (nan|inf)"):
+            resolve_gamma(gamma, rng.standard_normal((10, 3)))
+
     def test_infeasible_nu(self):
         with pytest.raises(InfeasibleNuError):
             ocsvm_fit(np.random.default_rng(0).standard_normal((5, 2)), nu=0.1)
