@@ -148,41 +148,38 @@ def cmd_synth(args) -> int:
             raise ValueError(f"--{dest.replace('_', '-')} must be {bounds}, got {value}")
     cfg = _load_run_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
-
-    frame_size, hop_size = feat.default_framing(
-        SAMPLE_RATE, cfg.hop_length, cfg.time_per_frame, cfg.hop_ratio
-    )
-    align_s = hop_size * cfg.hop_length / SAMPLE_RATE
-
-    if args.mode == "knocks":
-        normal_s = args.normal_s if args.normal_s is not None else 780.0
-        anomalous_s = args.anomalous_s if args.anomalous_s is not None else 210.0
-        total_s = normal_s + anomalous_s
-        train_s = normal_s * args.train_frac
-        calib_s = anomalous_s * args.calib_frac
-        durations = {
-            "train": train_s, "val": normal_s - train_s, "calib": calib_s, "test": anomalous_s - calib_s,
-        }
-        injectors = {
-            "calib": lambda piece: inject_knocks(piece, args.rate, seed + 13, align_s=align_s),
-            "test": lambda piece: inject_knocks(piece, args.rate, seed + 14, align_s=align_s),
-        }
-    else:  # rare
-        total_s = normal_s = args.normal_s if args.normal_s is not None else 1200.0
-        durations = {
-            "train": 0.7 * normal_s, "val": 0.1 * normal_s,
-            "calib": 0.1 * normal_s, "test": 0.1 * normal_s,
-        }
-        injectors = {
-            "test": lambda piece: inject_transient(
-                piece, duration_s=args.transient_s, seed=seed + 14, align_s=align_s
-            ),
-        }
-
     rows = []
     with _stage("synth"):
+        _, hop_size = feat.default_framing(SAMPLE_RATE, cfg.hop_length, cfg.time_per_frame, cfg.hop_ratio)
+        align_s = hop_size * cfg.hop_length / SAMPLE_RATE
+
+        if args.mode == "knocks":
+            normal_s = args.normal_s if args.normal_s is not None else 780.0
+            anomalous_s = args.anomalous_s if args.anomalous_s is not None else 210.0
+            total_s = normal_s + anomalous_s
+            train_s = normal_s * args.train_frac
+            calib_s = anomalous_s * args.calib_frac
+            durations = {
+                "train": train_s, "val": normal_s - train_s, "calib": calib_s, "test": anomalous_s - calib_s,
+            }
+            injectors = {
+                "calib": lambda piece: inject_knocks(piece, args.rate, seed + 13, align_s=align_s),
+                "test": lambda piece: inject_knocks(piece, args.rate, seed + 14, align_s=align_s),
+            }
+        else:  # rare
+            total_s = normal_s = args.normal_s if args.normal_s is not None else 1200.0
+            durations = {
+                "train": 0.7 * normal_s, "val": 0.1 * normal_s,
+                "calib": 0.1 * normal_s, "test": 0.1 * normal_s,
+            }
+            injectors = {
+                "test": lambda piece: inject_transient(
+                    piece, duration_s=args.transient_s, seed=seed + 14, align_s=align_s
+                ),
+            }
+
+        out.mkdir(parents=True, exist_ok=True)
         full = gen_normal(total_s, SAMPLE_RATE, seed)
         edges = np.cumsum([0.0] + [durations[split] for split in SPLITS])  # sequential sums
         spans = dict(zip(SPLITS, zip(edges, edges[1:])))

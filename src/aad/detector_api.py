@@ -139,10 +139,11 @@ def persist(detector: Detector, path) -> None:
     """Write a detector: the header, then one named block per model field.
 
     The model dataclass's annotations fix each block's type: int and bool
-    fields are "<i8" scalars, float fields "<f8" scalars, tuples and arrays
-    "<f8", and a dict field one scalar per key ("extra.objective"). The
-    detector adds train_time_s and, for a vectorized kind, its vectorizer's
-    mean, std and frame_shape.
+    fields are "<i8" scalars, float fields "<f8" scalars, tuples "<f8",
+    arrays the model type's array_dtype ("<f8" for K-Means and OC-SVM, "<f4"
+    for the LSTM-AE), and a dict field one scalar per key ("extra.objective").
+    The detector adds train_time_s and, for a vectorized kind, its
+    vectorizer's mean, std and frame_shape.
     """
     model = detector.model
     if model is None:
@@ -164,7 +165,12 @@ def persist(detector: Detector, path) -> None:
 
 
 def _model_from_blocks(model_type, blocks: dict, path):
-    """Rebuild a model dataclass, taking each field's block type from its annotation."""
+    """Rebuild a model dataclass, taking each field's block type from its annotation.
+
+    Array fields must be in the model type's array_dtype: a block in any other
+    dtype (an LSTM-AE file with "<f8" parameters) is a CorruptModelFileError
+    naming the block, never cast.
+    """
     hints = get_type_hints(model_type)
     values = {}
     for f in fields(model_type):
@@ -176,7 +182,7 @@ def _model_from_blocks(model_type, blocks: dict, path):
                 for name in blocks if name.startswith(prefix)
             }
         elif hint is np.ndarray:
-            values[f.name] = block(blocks, f.name, path).copy()
+            values[f.name] = block(blocks, f.name, path, model_type.array_dtype).copy()
         elif get_origin(hint) is tuple:
             values[f.name] = tuple(block(blocks, f.name, path, ndim=1).tolist())
         else:

@@ -363,12 +363,15 @@ def default_framing(
             raise ValueError(f"{name} must be > 0, got {value}")
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    frame_size = _round_half_up(time_per_frame * sample_rate / hop_length)
-    hop_size = max(1, _round_half_up(hop_ratio * frame_size))
+    frame_size = _round_half_up(time_per_frame * sample_rate / hop_length, "time_per_frame")
+    hop_size = max(1, _round_half_up(hop_ratio * frame_size, "hop_ratio"))
     return frame_size, hop_size
 
 
-def _round_half_up(x: float) -> int:
+def _round_half_up(x: float, name: str) -> int:
+    """x rounded half up; x overflowed to inf is a ValueError naming the setting that made it."""
+    if not np.isfinite(x):
+        raise ValueError(f"{name} is too large: the frame arithmetic overflows to {x}")
     return int(np.floor(x + 0.5))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,7 @@ class KMeansModel:
     iterations_run: int
     seed: int
     inertia_history: tuple[float, ...] = ()
+    array_dtype: ClassVar[str] = "<f8"  # the array blocks' dtype in a model file
 
 
 def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

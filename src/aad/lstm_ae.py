@@ -11,14 +11,19 @@ of the time loops: one GEMM gives x_t @ W_x.T + b for all T steps (for the
 decoder, whose input is the latent code at every step, one [B x 4h] block),
 and each step adds only the recurrent h_prev @ W_h.T. Backpropagation through
 time carries only da @ W_h back a step; the weight gradients are stacked GEMMs
-over all T*B rows after each loop. Everything is plain numpy with exact
-gradients, so fixed seed + fixed data reproduces parameters bit-for-bit.
+over all T*B rows after each loop.
+
+Every buffer and Adam moment takes the parameters' dtype. lstm_ae_init gives
+float64 parameters, in which the gradient checks run; LstmAeDetector casts
+them to float32 once, so it trains, scores and persists in float32. Everything is plain numpy with exact gradients, so a fixed seed and
+fixed data reproduce the parameters bit for bit, under one BLAS thread or two.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +51,7 @@ class LstmAeModel:
     learning_rate: float = 0.0
     final_loss: float = float("nan")
     loss_history: tuple[float, ...] = ()
+    array_dtype: ClassVar[str] = "<f4"  # the parameter blocks' dtype in a model file
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
@@ -94,8 +100,8 @@ def _layer_forward(W_h, A, caches):
     (gates i/f/o, candidate, c_prev, tanh c)."""
     T, B, _ = A.shape
     h = W_h.shape[1]
-    H = np.zeros((T + 1, B, h))
-    cs = np.zeros((B, h))
+    H = np.zeros((T + 1, B, h), dtype=W_h.dtype)
+    cs = np.zeros((B, h), dtype=W_h.dtype)
     for t in range(T):
         a = H[t] @ W_h.T
         a += A[t]
@@ -113,8 +119,8 @@ def _layer_backward(W_h, caches, dH):
     """BPTT through one layer from dH [T x B x h], the loss gradient reaching each hidden
     state from outside it; returns the pre-activation gradients dA [T x B x 4h]."""
     T, B, h = dH.shape
-    dA = np.empty((T, B, 4 * h))
-    dh = dc = np.zeros((B, h))
+    dA = np.empty((T, B, 4 * h), dtype=W_h.dtype)
+    dh = dc = np.zeros((B, h), dtype=W_h.dtype)
     for t in reversed(range(T)):
         s, gg, c_prev, tc = caches[t]
         dh = dh + dH[t]
@@ -136,10 +142,12 @@ def _stacked(dA, inputs):
 
 
 def _forward(model: LstmAeModel, X: np.ndarray, enc_caches=None, dec_caches=None):
-    """X is [B x T x M]; returns inputs and reconstructions as step-major [T*B x M] rows, then He, Hd."""
+    """X is [B x T x M]; returns inputs and reconstructions as step-major [T*B x M] rows, then He, Hd.
+
+    The step-major copy of X and every state take the parameters' dtype."""
     B, T, M = X.shape
     h = model.hidden
-    Xt = np.empty((T, B, M))
+    Xt = np.empty((T, B, M), dtype=model.enc_W.dtype)
     for b in range(0, B, 32):  # a cache-sized transpose: X may be a strided view of [N x M x T] frames
         Xt[:, b : b + 32] = X[b : b + 32].transpose(1, 0, 2)
     Xt = Xt.reshape(T * B, M)
@@ -163,7 +171,7 @@ def _loss_and_grads(model: LstmAeModel, X: np.ndarray):
     dY = 2.0 * diff / diff.size
     dAd = _layer_backward(model.dec_W[:, h:], dec_caches, (dY @ model.proj_W).reshape(T, B, h))
     dA_latent = dAd.sum(axis=0)
-    dHe = np.zeros((T, B, h))
+    dHe = np.zeros((T, B, h), dtype=model.enc_W.dtype)
     dHe[-1] = dA_latent @ model.dec_W[:, :h]
     dAe = _layer_backward(model.enc_W[:, M:], enc_caches, dHe)
     grads = {
@@ -178,7 +186,7 @@ def _loss_and_grads(model: LstmAeModel, X: np.ndarray):
 
 
 def _model_batch(model: LstmAeModel, frames) -> np.ndarray:
-    """Accept a FrameTensor or a [B x T x M] array of the model's width; return it uncopied: _forward makes the float64 copy."""
+    """Accept a FrameTensor or a [B x T x M] array of the model's width; return it uncopied: _forward's copy takes the parameters' dtype."""
     if isinstance(frames, FrameTensor):
         X = frames.frames.transpose(0, 2, 1)  # a view: _forward's step-major copy is the only one
     else:
@@ -303,6 +311,7 @@ class LstmAeDetector(Detector):
 
     def _fit(self, frames) -> LstmAeModel:
         init = lstm_ae_init(n_mels=frames.n_mels, hidden=self.hidden, seed=self.seed)
+        init = replace(init, **{name: p.astype(np.float32) for name, p in init.params().items()})
         return lstm_ae_train(init, frames, epochs=self.epochs, batch=self.batch, lr=self.lr, seed=self.seed)
 
     def _score(self, frames) -> AnomalyScoreSeries:

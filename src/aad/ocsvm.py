@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ class OcSvmModel:
     kkt_violation: float = 0.0
     iterations: int = 0
     extra: dict = field(default_factory=dict)
+    array_dtype: ClassVar[str] = "<f8"  # the array blocks' dtype in a model file
 
     @cached_property
     def sv_sq_norms(self) -> np.ndarray:

@@ -335,7 +335,7 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("kind, field, value", [
         ("kmeans", "centroids", np.nan),
         ("ocsvm", "alphas", np.nan),
-        ("lstmae", "proj_b", 1e200),
+        ("lstmae", "proj_b", 1e30),  # finite in float32, its square is not
     ], ids=["kmeans", "ocsvm", "lstmae"])
     def test_non_finite_scores_are_a_numeric_error(self, tiny_bench, tmp_path, capsys, kind, field, value):
         detector = restore(tiny_bench / f"{kind}.model")
@@ -514,8 +514,19 @@ class TestNonFiniteSettings:
         rc = main(["synth", "--out", str(tmp_path / "d"), "--config", str(config),
                    "--normal-s", "24", "--anomalous-s", "40"])
         assert rc == 2
-        assert capsys.readouterr().err == "error: hop_ratio must be finite, got inf\n"
-        assert not any((tmp_path / "d").iterdir())
+        assert capsys.readouterr().err == "error: synth: hop_ratio must be finite, got inf\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_overflowing_framing_is_a_usage_error(self, tmp_path, capsys):
+        """A finite hop_ratio whose product with the frame size overflows: exit 2, no traceback, no file."""
+        config = tmp_path / "bad.cfg"
+        config.write_text("hop_ratio = 1e308\n")
+        capsys.readouterr()
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--config", str(config),
+                   "--normal-s", "24", "--anomalous-s", "40"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: synth: hop_ratio is too large: the frame arithmetic overflows to inf\n"
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("kind, setting, message", [
         ("lstmae", "lstm_lr = nan", "lr must be finite and > 0, got nan"),

@@ -330,6 +330,15 @@ class TestDefaultFraming:
         with pytest.raises(ValueError, match=message):
             F.default_framing(16000, 512, **setting)
 
+    @pytest.mark.parametrize("setting, name", [
+        ({"hop_ratio": 1e308}, "hop_ratio"),
+        ({"time_per_frame": 1e308}, "time_per_frame"),
+    ], ids=["hop_ratio", "time_per_frame"])
+    def test_overflowing_product_rejected_by_name(self, setting, name):
+        """Each value is finite; its product with the frame size or sample rate is not."""
+        with pytest.raises(ValueError, match=f"{name} is too large: the frame arithmetic overflows to inf"):
+            F.default_framing(16000, 512, **setting)
+
 
 class TestPipeline:
     def test_deterministic_bit_identical(self, rng):

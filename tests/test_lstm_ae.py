@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from aad import lstm_ae
+from aad.blocks import decode_blocks
+from aad.cli import main
+from aad.detector_api import _HEADER_LEN, restore
 from aad.errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
 from aad.lstm_ae import (
     _PARAM_NAMES,
@@ -14,7 +23,7 @@ from aad.lstm_ae import (
     lstm_ae_train,
 )
 
-from conftest import random_frames
+from conftest import random_frames, write_frame_archive
 
 
 def scalar_lstm_cell(W, b, x, h_prev, c_prev, hidden):
@@ -403,3 +412,84 @@ class TestDetectorWrapper:
         scores = det.score(probe).scores
         assert scores.shape == (6,)
         assert np.all(scores >= 0)
+
+
+def with_dtype(model, dtype):
+    return replace(model, **{name: p.astype(dtype) for name, p in model.params().items()})
+
+
+# A seeded float32 fit, printed as the SHA-256 of its parameter bytes; run under different BLAS thread counts.
+_THREAD_PROBE = """
+import hashlib
+from aad.lstm_ae import LstmAeDetector
+from conftest import random_frames
+det = LstmAeDetector(hidden=64, epochs=2, batch=64, seed=3).fit(
+    random_frames(num_frames=600, n_mels=128, frame_size=16, hop_size=4, seed=8))
+print(hashlib.sha256(b"".join(p.tobytes() for p in det.model.params().values())).hexdigest())
+"""
+
+
+class TestFloat32:
+    """LstmAeDetector trains, scores and persists in float32; lstm_ae_init stays float64."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        train = random_frames(num_frames=40, n_mels=8, frame_size=5, seed=3)
+        return LstmAeDetector(hidden=8, epochs=2, batch=8, seed=1).fit(train)
+
+    def test_fit_gives_float32_parameters_persisted_as_f4(self, fitted, tmp_path):
+        assert lstm_ae_init(8, 8, seed=1).enc_W.dtype == np.float64
+        for name in _PARAM_NAMES:
+            assert getattr(fitted.model, name).dtype == np.float32, name
+        fitted.persist(tmp_path / "m.model")
+        raw = (tmp_path / "m.model").read_bytes()
+        blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], "m.model", raw[:_HEADER_LEN])
+        for name in _PARAM_NAMES:
+            assert blocks[name].dtype.str == "<f4", name
+        assert blocks["loss_history"].dtype.str == "<f8"
+
+    def test_restored_model_reproduces_scores_bit_for_bit(self, fitted, tmp_path):
+        probe = random_frames(num_frames=13, n_mels=8, frame_size=5, seed=4)
+        fitted.persist(tmp_path / "m.model")
+        loaded = restore(tmp_path / "m.model")
+        for name in _PARAM_NAMES:
+            assert getattr(loaded.model, name).dtype == np.float32
+            assert np.array_equal(getattr(loaded.model, name), getattr(fitted.model, name))
+        assert np.array_equal(loaded.score(probe).scores, fitted.score(probe).scores)
+
+    def test_float64_parameter_file_is_a_data_error(self, fitted, tmp_path, capsys):
+        """A model file written with float64 parameters is refused, not cast."""
+        old = LstmAeDetector()
+        old.model = with_dtype(fitted.model, np.float64)
+        old.persist(tmp_path / "old.model")
+        frames = tmp_path / "probe.frames"
+        write_frame_archive(frames, random_frames(num_frames=6, n_mels=8, frame_size=5, seed=4))
+        capsys.readouterr()
+        rc = main(["score", "--model", str(tmp_path / "old.model"), "--frames", str(frames),
+                   "--out", str(tmp_path / "s.scores")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: score:")
+        assert "block 'enc_W' is <f8" in err
+        assert not (tmp_path / "s.scores").exists()
+
+    def test_loss_history_matches_float64(self, rng):
+        X = rng.uniform(0, 1, (1184, 16, 128))
+        init = lstm_ae_init(n_mels=128, hidden=64, seed=12)
+        single = lstm_ae_train(with_dtype(init, np.float32), X, epochs=3, batch=64, seed=12)
+        double = lstm_ae_train(init, X, epochs=3, batch=64, seed=12)
+        assert single.enc_W.dtype == np.float32 and double.enc_W.dtype == np.float64
+        assert len(single.loss_history) == len(double.loss_history) == 4
+        for got, want in zip(single.loss_history, double.loss_history):
+            assert abs(got - want) <= 1e-5 * want
+
+    def test_seeded_fit_identical_under_one_and_two_blas_threads(self):
+        tests_dir = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300).stdout.split()
+            digests.add(out[-1])
+        assert len(digests) == 1
