@@ -142,8 +142,10 @@ def persist(detector: Detector, path) -> None:
     fields are "<i8" scalars, float fields "<f8" scalars, tuples "<f8",
     arrays the model type's array_dtype ("<f8" for K-Means and OC-SVM, "<f4"
     for the LSTM-AE), and a dict field one scalar per key ("extra.objective").
-    The detector adds train_time_s and, for a vectorized kind, its
-    vectorizer's mean, std and frame_shape.
+    An array in any other dtype is a ValueError naming the block, never cast,
+    so a file restore() would refuse is never written. The detector adds
+    train_time_s and, for a vectorized kind, its vectorizer's mean, std and
+    frame_shape.
     """
     model = detector.model
     if model is None:
@@ -152,6 +154,8 @@ def persist(detector: Detector, path) -> None:
     hints = get_type_hints(type(model))
     for f in fields(model):
         value, hint = getattr(model, f.name), hints[f.name]
+        if hint is np.ndarray and value.dtype != np.dtype(model.array_dtype):
+            raise ValueError(f"block {f.name!r} is {value.dtype.str}, {type(model).__name__} stores {model.array_dtype}")
         if hint is dict:
             blocks.update({f"{f.name}.{key}": float(v) for key, v in value.items()})
         else:

@@ -61,14 +61,14 @@ def resolve_gamma(gamma, rows: np.ndarray) -> float:
     return g
 
 
-def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float, b_sq=None) -> np.ndarray:
-    """exp(-gamma * ||a - b||^2) for every row pair; b_sq as in _sq_distances."""
-    return np.exp(-gamma * _sq_distances(A, B, b_sq=b_sq))
+def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float, a_sq=None, b_sq=None) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) for every row pair; a_sq / b_sq as in _sq_distances."""
+    return np.exp(-gamma * _sq_distances(A, B, a_sq=a_sq, b_sq=b_sq))
 
 
 # Kernel-row bytes one fit keeps; rows past it are recomputed when asked again.
 # Seed 42, ci sizes (n = 1180 / 1453): all 350 / 394 distinct rows fit and serve
-# 162 / 138 repeats; keeping none made those fits 27-33% slower. Paper size
+# 162 / 140 repeats; keeping none made those fits 30-43% slower. Paper size
 # (n = 7104): 1180 rows fit and 1 of 1352 requests hits them (a 1024-row LRU: 21).
 KERNEL_ROW_BYTES = 64 * 2**20
 _DECISION_BLOCK = 2048  # rows per [block x n_sv] kernel block when scoring
@@ -107,19 +107,23 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: 
     if n_full < n:
         alpha[n_full] = 1.0 - n_full * C
 
-    sq_norms = np.sum(rows**2, axis=1)
+    # Kernel dot products run in float32 on the column-centred rows (LIBSVM's Qfloat split);
+    # norms, kernel rows, grad and alpha stay float64. Centring keeps a shifted input's bits.
+    r32 = np.empty(rows.shape, dtype=np.float32)
+    np.subtract(rows, rows.mean(axis=0), out=r32, casting="unsafe")  # no float64 n x d temporary
+    sq_norms = np.einsum("ij,ij->i", r32, r32, dtype=np.float64)  # as a_sq and b_sq: k(x_i, x_i) ~ 1
     kept: dict[int, np.ndarray] = {}
 
     def kernel_row(i: int) -> np.ndarray:
         k = kept.get(i)
         if k is None:
-            k = rbf_kernel_block(rows[i : i + 1], rows, g, b_sq=sq_norms)[0]
+            k = rbf_kernel_block(r32[i : i + 1], r32, g, a_sq=sq_norms[i : i + 1], b_sq=sq_norms)[0]
             if k.nbytes * (len(kept) + 1) <= KERNEL_ROW_BYTES:
                 kept[i] = k
         return k
 
     nz = np.flatnonzero(alpha > 0)
-    grad = rbf_kernel_block(rows[nz], rows, g, b_sq=sq_norms).T @ alpha[nz]
+    grad = rbf_kernel_block(r32[nz], r32, g, a_sq=sq_norms[nz], b_sq=sq_norms).T @ alpha[nz]
 
     max_iter = max_passes * n
     iterations = 0
@@ -167,8 +171,8 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: 
         rho = 0.5 * (hi + lo)
 
     return OcSvmModel(
-        support_vectors=rows[sv_mask].copy(),
-        alphas=alpha[sv_mask].copy(),
+        support_vectors=rows[sv_mask],  # boolean indexing copies
+        alphas=alpha[sv_mask],
         rho=rho,
         nu=nu,
         gamma=g,
@@ -183,7 +187,7 @@ def ocsvm_decision(model: OcSvmModel, rows: np.ndarray) -> np.ndarray:
     """g(x) = sum_j alpha_j k(x_j, x), evaluated _DECISION_BLOCK rows at a time."""
     out = np.empty(rows.shape[0])
     for a in range(0, rows.shape[0], _DECISION_BLOCK):
-        kernel = rbf_kernel_block(rows[a : a + _DECISION_BLOCK], model.support_vectors, model.gamma, model.sv_sq_norms)
+        kernel = rbf_kernel_block(rows[a : a + _DECISION_BLOCK], model.support_vectors, model.gamma, b_sq=model.sv_sq_norms)
         out[a : a + _DECISION_BLOCK] = kernel @ model.alphas
     return out
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aad import lstm_ae
-from aad.blocks import decode_blocks
+from aad.blocks import decode_blocks, encode_blocks
 from aad.cli import main
 from aad.detector_api import _HEADER_LEN, restore
 from aad.errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
@@ -459,9 +459,12 @@ class TestFloat32:
 
     def test_float64_parameter_file_is_a_data_error(self, fitted, tmp_path, capsys):
         """A model file written with float64 parameters is refused, not cast."""
-        old = LstmAeDetector()
-        old.model = with_dtype(fitted.model, np.float64)
-        old.persist(tmp_path / "old.model")
+        fitted.persist(tmp_path / "new.model")
+        raw = (tmp_path / "new.model").read_bytes()
+        header = raw[:_HEADER_LEN]
+        blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], "new.model", header)
+        blocks = {name: arr.astype(np.float64) if name in _PARAM_NAMES else arr for name, arr in blocks.items()}
+        (tmp_path / "old.model").write_bytes(header + encode_blocks(blocks, header))
         frames = tmp_path / "probe.frames"
         write_frame_archive(frames, random_frames(num_frames=6, n_mels=8, frame_size=5, seed=4))
         capsys.readouterr()
@@ -472,6 +475,13 @@ class TestFloat32:
         assert err.startswith("error: score:")
         assert "block 'enc_W' is <f8" in err
         assert not (tmp_path / "s.scores").exists()
+
+    def test_float64_parameters_are_refused_at_persist(self, fitted, tmp_path):
+        old = LstmAeDetector()
+        old.model = with_dtype(fitted.model, np.float64)
+        with pytest.raises(ValueError, match="block 'enc_W' is <f8, LstmAeModel stores <f4"):
+            old.persist(tmp_path / "old.model")
+        assert not (tmp_path / "old.model").exists()
 
     def test_loss_history_matches_float64(self, rng):
         X = rng.uniform(0, 1, (1184, 16, 128))
