@@ -37,8 +37,15 @@ from .metrics import EvalReport, confusion, precision_recall_f1, roc_auc, timed
 from .ocsvm import OcSvmDetector
 from .synthgen import frame_labels, gen_normal, inject_knocks, inject_transient, read_intervals, write_intervals
 
-DETECTOR_KINDS = ("kmeans", "ocsvm", "lstmae")
 SAMPLE_RATE = 16000
+
+# kind -> builder of that detector from its run settings; bench runs the kinds in this order
+DETECTORS = {
+    "kmeans": lambda cfg: KMeansDetector(k=cfg.kmeans_k, seed=cfg.seed),
+    "ocsvm": lambda cfg: OcSvmDetector(nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma),
+    "lstmae": lambda cfg: LstmAeDetector(hidden=cfg.lstm_hidden, epochs=cfg.lstm_epochs,
+                                         batch=cfg.lstm_batch, lr=cfg.lstm_lr, seed=cfg.seed),
+}
 
 
 @contextlib.contextmanager
@@ -59,20 +66,6 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _build_detector(kind: str, cfg: RunConfig):
-    if kind == "kmeans":
-        det = KMeansDetector(k=cfg.kmeans_k, seed=cfg.seed)
-    elif kind == "ocsvm":
-        det = OcSvmDetector(nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma)
-    elif kind == "lstmae":
-        det = LstmAeDetector(hidden=cfg.lstm_hidden, epochs=cfg.lstm_epochs,
-                             batch=cfg.lstm_batch, lr=cfg.lstm_lr, seed=cfg.seed)
-    else:
-        raise ValueError(f"unknown detector kind {kind!r}")
-    det.config_digest = cfg.digest()
-    return det
-
-
 # --- small text formats ---------------------------------------------------
 
 def write_vector(path, values, fmt: str = "%.17g") -> None:
@@ -89,9 +82,17 @@ def _parse_float(path, lineno: int, text: str) -> float:
     return value
 
 
-def read_vector(path) -> np.ndarray:
+def _parse_label(path, lineno: int, text: str) -> int:
+    value = _parse_float(path, lineno, text)
+    if value not in (0.0, 1.0):
+        raise IoFailureError(f"{path}:{lineno}: a label is 0 or 1, got {text.strip()!r}")
+    return int(value)
+
+
+def read_vector(path, parse=_parse_float) -> np.ndarray:
+    """One value per non-blank line; parse (a finite float by default) raises IoFailureError at file:line."""
     lines = _text_lines(path, IoFailureError)
-    return np.array([_parse_float(path, n, line) for n, line in lines if line.strip()])
+    return np.array([parse(path, n, line) for n, line in lines if line.strip()])
 
 
 def write_matrix(path, name: str, matrix) -> None:
@@ -228,7 +229,8 @@ def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, feat.FrameTe
 
 def train_detector(kind: str, cfg: RunConfig, frames: feat.FrameTensor, path):
     """Fit one detector, record its wall-clock fit time and persist it to path."""
-    detector = _build_detector(kind, cfg)
+    detector = DETECTORS[kind](cfg)
+    detector.config_digest = cfg.digest()
     _, detector.train_time_s = timed(lambda: detector.fit(frames))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     detector.persist(path)
@@ -294,11 +296,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if bool(args.calib_frames) != bool(args.calib_labels):
+        raise ValueError("calibrate needs both --calib-frames and --calib-labels, or neither")
     with _stage("calibrate"):
         detector = restore(args.model)
         val_frames = feat.load_frames(args.val_frames)
         calib_frames = calib_labels = None
-        if args.calib_frames and args.calib_labels:
+        if args.calib_frames:
             calib_frames = feat.load_frames(args.calib_frames)
             calib_labels = frame_labels(read_intervals(args.calib_labels), calib_frames)
         threshold = calibrate_detector(detector, val_frames, calib_frames, calib_labels, args.out)
@@ -307,11 +311,13 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.threshold is None and not args.calibration:
-        raise ValueError("eval needs --threshold or --calibration")
+    if (args.threshold is None) == (not args.calibration):
+        raise ValueError("eval needs --threshold or --calibration, exactly one")
+    if args.threshold is not None and not np.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be finite, got {args.threshold}")
     with _stage("eval"):
         scores = read_vector(args.scores)
-        labels = read_vector(args.labels).astype(int)
+        labels = read_vector(args.labels, _parse_label)
         threshold = args.threshold if args.threshold is not None else read_calibration_threshold(args.calibration)
         report = evaluate(args.method, labels, scores, threshold)
         Path(args.out).write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n")
@@ -416,7 +422,7 @@ def cmd_bench(args) -> int:
         test_frames, test_labels = _features_for(by_split["test"], out, cfg)
 
     reports = []
-    for kind in DETECTOR_KINDS:
+    for kind in DETECTORS:
         with _stage(f"train[{kind}]"):
             detector = train_detector(kind, cfg, train_frames, out / f"{kind}.model")
         with _stage(f"calibrate[{kind}]"):
@@ -487,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one detector on a frame archive")
     common(p)
     p.add_argument("--frames", required=True)
-    p.add_argument("--detector", required=True, choices=DETECTOR_KINDS)
+    p.add_argument("--detector", required=True, choices=tuple(DETECTORS))
     p.add_argument("--out", required=True, help="model file path")
     p.set_defaults(func=cmd_train)
 

@@ -1,8 +1,9 @@
 """Shared detector contract: frame vectorization, score series, persistence.
 
 All detectors fit on normal-only frames and emit one score per frame with
-higher = more anomalous. Model files are self-describing: kind and config
-digest are readable without touching the parameter blocks.
+higher = more anomalous. Model files are self-describing: restore() reads
+the header (magic, version, kind tag, config digest) and checks it before it
+decodes any parameter block; there is no separate header reader.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, a_sq=None, b_sq=None) -> np.ndar
     return np.maximum(d2, 0.0)
 
 
+def _frame_rows(frames: FrameTensor) -> np.ndarray:
+    """A fresh float64 copy of the frames, one flattened frame per row."""
+    return np.array(frames.frames, dtype=np.float64, order="C").reshape(frames.num_frames, -1)
+
+
 class Vectorizer:
     """Standardized frame rows for K-Means and OC-SVM.
 
@@ -72,7 +78,7 @@ class Vectorizer:
         self.frame_shape: tuple[int, int] | None = None
 
     def fit(self, frames: FrameTensor) -> np.ndarray:
-        rows = np.array(frames.frames, dtype=np.float64, order="C").reshape(frames.num_frames, -1)  # a fresh copy
+        rows = _frame_rows(frames)
         # np.std's bits without a second n x d array: ~256 columns at a time, none alone (numpy sums one column pairwise)
         edges = np.linspace(0, rows.shape[1], -(-rows.shape[1] // 256) + 1).astype(int)
         self.mean, self.std = rows.mean(axis=0), np.concatenate([rows[:, a:b].std(axis=0) for a, b in zip(edges, edges[1:])])
@@ -86,7 +92,7 @@ class Vectorizer:
         shape = (frames.n_mels, frames.frame_size)
         if shape != self.frame_shape:
             raise DimensionMismatchError(f"frame shape {shape} != model frame shape {self.frame_shape}")
-        return self._standardize(np.array(frames.frames, dtype=np.float64, order="C").reshape(frames.num_frames, -1))
+        return self._standardize(_frame_rows(frames))
 
     def _standardize(self, rows: np.ndarray) -> np.ndarray:
         """Standardize rows in place; zero-variance columns become 0."""
@@ -194,37 +200,27 @@ def _model_from_blocks(model_type, blocks: dict, path):
     return model_type(**values)
 
 
-def _parse_header(raw: bytes, path) -> tuple[str, int, bytes]:
-    if len(raw) < _HEADER_LEN or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise CorruptModelFileError(f"{path}: not a model file")
-    (version,) = struct.unpack_from("<I", raw, len(MODEL_MAGIC))
-    try:
-        kind = raw[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 12].rstrip(b"\x00").decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CorruptModelFileError(f"{path}: kind tag is not ASCII") from exc
-    digest = raw[len(MODEL_MAGIC) + 12 : _HEADER_LEN]
-    return kind, version, digest
-
-
-def read_model_header(path) -> tuple[str, int, bytes]:
-    """Kind tag, format version and config digest without loading parameters."""
-    with open(path, "rb") as fh:
-        return _parse_header(fh.read(_HEADER_LEN), path)
-
-
 def restore(path) -> Detector:
     """Load any persisted detector; scores reproduce the original bit-exactly.
 
     The header's kind tag picks the detector class whose `kind` it is; that
     class's `model_type` rebuilds the model from the blocks, and a vectorized
     class gets its vectorizer's statistics back. Constructor settings that
-    only _fit() reads (k, nu, hidden, tolerances) keep their class defaults.
-    An unknown kind tag is a CorruptModelFileError.
+    only _fit() reads (k, nu, hidden) keep their class defaults; solver
+    tolerances are module constants, not constructor settings. The header
+    checks run in this order: magic, kind tag is ASCII, version, known kind;
+    the block checksum is checked last.
     """
     from . import kmeans, lstm_ae, ocsvm  # deferred: those modules import this one
 
     raw = Path(path).read_bytes()
-    kind, version, digest = _parse_header(raw, path)
+    if len(raw) < _HEADER_LEN or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+        raise CorruptModelFileError(f"{path}: not a model file")
+    try:
+        kind = raw[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 12].rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptModelFileError(f"{path}: kind tag is not ASCII") from exc
+    (version,) = struct.unpack_from("<I", raw, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
         raise VersionMismatchError(f"{path}: model version {version}, supported {MODEL_VERSION}")
     types = {cls.kind: cls for cls in (kmeans.KMeansDetector, ocsvm.OcSvmDetector, lstm_ae.LstmAeDetector)}
@@ -234,7 +230,7 @@ def restore(path) -> Detector:
     detector = types[kind]()
     detector.model = _model_from_blocks(detector.model_type, blocks, path)
     detector.train_time_s = float(block(blocks, "train_time_s", path, ndim=0))
-    detector.config_digest = digest
+    detector.config_digest = raw[len(MODEL_MAGIC) + 12 : _HEADER_LEN]
     if detector.vectorized:
         vectorizer = detector.vectorizer
         vectorizer.mean = block(blocks, "mean", path, ndim=1).copy()

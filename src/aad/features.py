@@ -73,8 +73,6 @@ class MelFilterbank:
     weights: np.ndarray
     sample_rate: int
     n_fft: int
-    fmin: float
-    fmax: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -240,7 +238,7 @@ def mel_filterbank(
     falling = (right - bin_hz[None, :]) / np.maximum(right - center, 1e-30)
     weights = np.maximum(0.0, np.minimum(rising, falling))
     weights *= 2.0 / (right - left)
-    return MelFilterbank(weights=weights, sample_rate=sample_rate, n_fft=n_fft, fmin=fmin, fmax=float(fmax))
+    return MelFilterbank(weights=weights, sample_rate=sample_rate, n_fft=n_fft)
 
 
 @functools.lru_cache(maxsize=16)

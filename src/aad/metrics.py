@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import LengthMismatchError, SingleClassInputError
+from .errors import DegenerateLabelsError, LengthMismatchError, SingleClassInputError
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,18 @@ class EvalReport:
     threshold: float
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """Labels as an int vector; any label other than 0 or 1 is a DegenerateLabelsError."""
+    y = np.asarray(labels).ravel()
+    bad = y[(y != 0) & (y != 1)]
+    if bad.size:
+        raise DegenerateLabelsError(f"labels must be 0 or 1, got {bad[0]}")
+    return y.astype(int)
+
+
 def confusion(labels, predictions) -> ConfusionMatrix:
     """Count tp/fp/tn/fn for 0/1 label and prediction vectors."""
-    y = np.asarray(labels, dtype=int).ravel()
+    y = _binary_labels(labels)
     p = np.asarray(predictions, dtype=int).ravel()
     if y.size != p.size:
         raise LengthMismatchError(
@@ -72,9 +81,9 @@ def roc_auc(labels, scores) -> float:
     """Rank-statistic ROC AUC: P(score_pos > score_neg) with ties half-credited.
 
     Computed from average ranks in O(n log n); equals the trapezoidal area
-    under the ROC curve.
+    under the ROC curve. Labels must be 0 or 1.
     """
-    y = np.asarray(labels, dtype=int).ravel()
+    y = _binary_labels(labels)
     s = np.asarray(scores, dtype=float).ravel()
     if y.size != s.size:
         raise LengthMismatchError(

@@ -206,14 +206,13 @@ class OcSvmDetector(Detector):
     model_type = OcSvmModel
     vectorized = True
 
-    def __init__(self, nu: float = 0.1, gamma="scale", tol: float = _TOL):
+    def __init__(self, nu: float = 0.1, gamma="scale"):
         super().__init__()
         self.nu = nu
         self.gamma = gamma
-        self.tol = tol
 
     def _fit(self, rows) -> OcSvmModel:
-        return ocsvm_fit(rows, nu=self.nu, gamma=self.gamma, tol=self.tol)
+        return ocsvm_fit(rows, nu=self.nu, gamma=self.gamma)
 
     def _score(self, rows) -> AnomalyScoreSeries:
         return ocsvm_score(self.model, rows)

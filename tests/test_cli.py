@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from aad.calibration import DEFAULT_GRID
-from aad.cli import main, read_calibration_threshold, read_vector, write_matrix
+from aad.cli import DETECTORS, build_parser, main, read_calibration_threshold, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
 from aad.detector_api import restore
 from aad.errors import ManifestError
@@ -406,6 +407,72 @@ class TestCorruptInputs:
         capsys.readouterr()
         assert main(argv) == 3
         assert f"bad.{kind}:2:" in capsys.readouterr().err
+
+
+class TestDetectorTable:
+    def test_kinds_in_one_order(self, tiny_bench):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        choices = next(a for a in commands["train"]._actions if a.dest == "detector").choices
+        rows = json.loads((tiny_bench / "report.json").read_text())["rows"]
+        assert tuple(DETECTORS) == ("kmeans", "ocsvm", "lstmae")
+        assert tuple(choices) == tuple(DETECTORS)
+        assert tuple(row["method"] for row in rows) == tuple(DETECTORS)
+
+    def test_builders_read_their_settings(self):
+        cfg = RunConfig(kmeans_k=5, ocsvm_nu=0.3, ocsvm_gamma=0.25, lstm_hidden=7, lstm_epochs=4,
+                        lstm_batch=9, lstm_lr=0.002, seed=11)
+        built = {kind: build(cfg) for kind, build in DETECTORS.items()}
+        assert all(det.kind == kind for kind, det in built.items())
+        assert (built["kmeans"].k, built["kmeans"].seed) == (5, 11)
+        assert (built["ocsvm"].nu, built["ocsvm"].gamma) == (0.3, 0.25)
+        lstm = built["lstmae"]
+        assert (lstm.hidden, lstm.epochs, lstm.batch, lstm.lr, lstm.seed) == (7, 4, 9, 0.002, 11)
+
+
+class TestThresholdAndLabelSources:
+    @pytest.mark.parametrize("given", ["--calib-frames", "--calib-labels"])
+    def test_calibrate_with_one_calibration_flag(self, tiny_bench, tiny_dataset, tmp_path, capsys, given):
+        value = {"--calib-frames": tiny_bench / "calib.frames", "--calib-labels": tiny_dataset / "calib.labels"}[given]
+        out = tmp_path / "k.calibration"
+        capsys.readouterr()
+        rc = main(["calibrate", "--model", str(tiny_bench / "kmeans.model"),
+                   "--val-frames", str(tiny_bench / "val.frames"), given, str(value), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--calib-frames" in err and "--calib-labels" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold_args, message", [
+        (["--threshold", "0.5", "--calibration", "kmeans.calibration"], "eval needs --threshold or --calibration"),
+        (["--threshold", "nan"], "--threshold must be finite"),
+        (["--threshold", "inf"], "--threshold must be finite"),
+        (["--threshold=-inf"], "--threshold must be finite"),
+    ], ids=["both-sources", "nan", "inf", "minus-inf"])
+    def test_eval_needs_one_finite_threshold(self, tiny_bench, tmp_path, capsys, threshold_args, message):
+        argv = ["eval", "--scores", str(tiny_bench / "kmeans.scores"),
+                "--labels", str(tiny_bench / "test.framelabels"), "--out", str(tmp_path / "e.json")]
+        argv += [str(tiny_bench / a) if a.endswith(".calibration") else a for a in threshold_args]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("label", ["2", "0.7", "-1"])
+    def test_eval_refuses_a_non_binary_label(self, tiny_bench, tmp_path, capsys, label):
+        lines = (tiny_bench / "test.framelabels").read_text().splitlines()
+        lines[2] = label
+        bad = tmp_path / "bad.framelabels"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", "--scores", str(tiny_bench / "kmeans.scores"), "--labels", str(bad),
+                   "--threshold", "0", "--out", str(tmp_path / "e.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "bad.framelabels:3:" in err and "0 or 1" in err
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestDetectorSettings:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from aad.errors import LengthMismatchError, SingleClassInputError
+from aad.errors import DegenerateLabelsError, LengthMismatchError, SingleClassInputError
 from aad.metrics import ConfusionMatrix, confusion, precision_recall_f1, roc_auc, timed
 
 
@@ -46,6 +46,11 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             confusion([1, 0], [1])
+
+    @pytest.mark.parametrize("labels", [[1, 2, 0], [1, 0.7, 0]], ids=["two", "fraction"])
+    def test_non_binary_label_raises(self, labels):
+        with pytest.raises(DegenerateLabelsError, match="labels must be 0 or 1"):
+            confusion(labels, [1, 1, 0])
 
 
 class TestPrecisionRecallF1:
@@ -132,6 +137,12 @@ class TestRocAuc:
     def test_single_class_raises(self):
         with pytest.raises(SingleClassInputError):
             roc_auc([1, 1, 1], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("labels", [[1, 2, 0], [1, 0.7, 0]], ids=["two", "fraction"])
+    def test_non_binary_label_raises(self, labels):
+        # a label of 2 counted as a positive gave an AUC above 1
+        with pytest.raises(DegenerateLabelsError, match="labels must be 0 or 1"):
+            roc_auc(labels, [0.9, 0.8, 0.1])
 
 
 class TestTimed:
