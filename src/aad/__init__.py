@@ -6,7 +6,7 @@ calibration, and a synthetic benchmark harness. See the `aad` CLI for the
 end-to-end flow.
 """
 
-from .audio_io import AudioClip, NoiseProfile, estimate_noise_profile, load_wav, rms_normalize, save_wav, spectral_gate
+from .audio_io import AudioClip, load_wav, rms_normalize, save_wav
 from .calibration import CalibrationResult, ThresholdCandidate, percentile, select_by_f1, sweep_thresholds
 from .detector_api import AnomalyScoreSeries, Detector, Vectorizer, persist, restore
 from .features import (

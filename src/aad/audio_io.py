@@ -6,7 +6,6 @@ payloads, mono or stereo. No resampling: clips keep their native rate.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 import warnings
 from dataclasses import dataclass
@@ -14,15 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import percentile
-from .errors import (
-    CorruptHeaderError,
-    EmptyAudioError,
-    ShapeMismatchError,
-    SilentInputWarning,
-    TooFewColumnsError,
-    UnsupportedFormatError,
-)
+from .errors import CorruptHeaderError, EmptyAudioError, SilentInputWarning, UnsupportedFormatError
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -57,23 +48,6 @@ class AudioClip:
 
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
-
-
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Per-Mel-band noise floor (dB) plus a gating margin."""
-
-    floor_db: np.ndarray
-    margin_db: float
-
-    def __post_init__(self):
-        f = np.asarray(self.floor_db, dtype=np.float64)
-        if f.ndim != 1 or not np.all(np.isfinite(f)):
-            raise ValueError("floor_db must be a finite 1-D vector")
-        if self.margin_db < 0:
-            raise ValueError("margin_db must be >= 0")
-        f.flags.writeable = False
-        object.__setattr__(self, "floor_db", f)
 
 
 @dataclass(frozen=True)
@@ -183,37 +157,3 @@ def rms_normalize(clip: AudioClip, target_rms: float) -> RmsNormalizeResult:
     np.clip(scaled, -1.0, 1.0, out=scaled)
     out = AudioClip(samples=scaled, sample_rate=clip.sample_rate)
     return RmsNormalizeResult(clip=out, gain=gain, clipped=clipped, silent=False)
-
-
-def estimate_noise_profile(mel_db, percentile_p: float, margin_db: float = 6.0) -> NoiseProfile:
-    """Per-band noise floor: the p-th percentile of each Mel row across time."""
-    if mel_db.stage != "db":
-        raise ValueError(f"noise profile needs a dB-stage spectrogram, got {mel_db.stage!r}")
-    if not 0.0 < percentile_p < 100.0:
-        raise ValueError(f"percentile_p {percentile_p} outside (0, 100)")
-    values = mel_db.values
-    if values.shape[1] < 10:
-        raise TooFewColumnsError(
-            f"need >= 10 spectrogram columns to estimate noise, got {values.shape[1]}"
-        )
-    floor = np.array([percentile(row, percentile_p) for row in values])
-    return NoiseProfile(floor_db=floor, margin_db=margin_db)
-
-
-def spectral_gate(mel_db, profile: NoiseProfile):
-    """Push cells at or below the per-band floor + margin down to the dB floor.
-
-    Cells above the gate are untouched; the result stays in the dB stage.
-    """
-    from .features import DB_FLOOR  # deferred: features imports this module
-
-    if mel_db.stage != "db":
-        raise ValueError(f"spectral gate needs a dB-stage spectrogram, got {mel_db.stage!r}")
-    values = mel_db.values
-    if profile.floor_db.size != values.shape[0]:
-        raise ShapeMismatchError(
-            f"profile has {profile.floor_db.size} bands, spectrogram has {values.shape[0]}"
-        )
-    gate = profile.floor_db[:, None] + profile.margin_db
-    gated = np.where(values <= gate, DB_FLOOR, values)
-    return dataclasses.replace(mel_db, values=gated)

@@ -60,8 +60,8 @@ def _stage(name: str):
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config) if args.config else RunConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -227,9 +227,8 @@ def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, feat.FrameTe
     return path, frames, vector
 
 
-def train_detector(kind: str, cfg: RunConfig, frames: feat.FrameTensor, path):
-    """Fit one detector, record its wall-clock fit time and persist it to path."""
-    detector = DETECTORS[kind](cfg)
+def train_detector(detector, cfg: RunConfig, frames: feat.FrameTensor, path):
+    """Fit a detector built from cfg (DETECTORS), record its wall-clock fit time and persist it to path."""
     detector.config_digest = cfg.digest()
     _, detector.train_time_s = timed(lambda: detector.fit(frames))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -280,7 +279,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     with _stage("train"):
-        detector = train_detector(args.detector, cfg, feat.load_frames(args.frames), args.out)
+        detector = train_detector(DETECTORS[args.detector](cfg), cfg, feat.load_frames(args.frames), args.out)
     print(f"trained {args.detector} in {detector.train_time_s:.3f} s -> {args.out}")
     return 0
 
@@ -412,6 +411,10 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     by_split = _split_records(load_manifest(args.manifest))
+    detectors = {}
+    for kind, build in DETECTORS.items():  # a constructor checks its settings: fail before any archive
+        with _stage(f"train[{kind}]"):
+            detectors[kind] = build(cfg)
 
     with _stage("features"):
         train_frames, _ = _features_for(by_split["train"], out, cfg)
@@ -422,9 +425,9 @@ def cmd_bench(args) -> int:
         test_frames, test_labels = _features_for(by_split["test"], out, cfg)
 
     reports = []
-    for kind in DETECTORS:
+    for kind, detector in detectors.items():
         with _stage(f"train[{kind}]"):
-            detector = train_detector(kind, cfg, train_frames, out / f"{kind}.model")
+            train_detector(detector, cfg, train_frames, out / f"{kind}.model")
         with _stage(f"calibrate[{kind}]"):
             threshold = calibrate_detector(
                 detector, val_frames, calib_frames, calib_labels, out / f"{kind}.calibration"
@@ -498,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="pick a threshold from validation scores")
-    common(p)
+    common(p)  # reads neither flag; perfbench's stream workload passes --config
     p.add_argument("--model", required=True)
     p.add_argument("--val-frames", required=True, dest="val_frames")
     p.add_argument("--calib-frames", dest="calib_frames")
@@ -507,14 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("score", help="score a frame archive with a model")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True, help="scores file path")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="metrics from scores + frame labels")
-    common(p)
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True, help="frame labels file (0/1 per line)")
     p.add_argument("--threshold", type=float, default=None)

@@ -33,10 +33,6 @@ class EmptyAudioError(PipelineError):
     pass
 
 
-class TooFewColumnsError(PipelineError):
-    pass
-
-
 class ShapeMismatchError(PipelineError):
     pass
 

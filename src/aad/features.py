@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, estimate_noise_profile, rms_normalize, spectral_gate
+from .audio_io import AudioClip, rms_normalize
 from .blocks import block, decode_blocks, encode_blocks
+from .calibration import percentile
 from .errors import (
     AllZeroSpectrogramError,
     CorruptModelFileError,
@@ -398,13 +399,29 @@ def frame_pipeline(
         clip = rms_normalize(clip, target_rms).clip
     mel_db = clip_mel_db(clip, n_fft, hop_length, n_mels, fmin, fmax)
     if denoise:
-        profile = estimate_noise_profile(mel_db, denoise_percentile, margin_db=denoise_margin_db)
-        mel_db = spectral_gate(mel_db, profile)
+        mel_db = _spectral_gate(mel_db, denoise_percentile, denoise_margin_db)
     norm = minmax_normalize(mel_db)
     frame_size, hop_size = default_framing(
         clip.sample_rate, hop_length, time_per_frame=time_per_frame, hop_ratio=hop_ratio
     )
     return segment_frames(norm, frame_size, hop_size)
+
+
+def _spectral_gate(mel_db: MelSpectrogram, percentile_p: float, margin_db: float) -> MelSpectrogram:
+    """Push each band's cells at or below its noise floor + margin_db down to DB_FLOOR.
+
+    A band's floor is the percentile_p-th percentile of its dB row over time;
+    cells above the gate are untouched.
+    """
+    if not 0.0 < percentile_p < 100.0:
+        raise ValueError(f"denoise_percentile must be in (0, 100), got {percentile_p}")
+    if not 0.0 <= margin_db < np.inf:
+        raise ValueError(f"denoise_margin_db must be finite and >= 0, got {margin_db}")
+    values = mel_db.values
+    if values.shape[1] < 10:
+        raise SpectrogramTooShortError(f"need >= 10 spectrogram columns to estimate noise, got {values.shape[1]}")
+    floor = np.array([percentile(row, percentile_p) for row in values])
+    return replace(mel_db, values=np.where(values <= floor[:, None] + margin_db, DB_FLOOR, values))
 
 
 def save_frames(frames: FrameTensor, path) -> None:

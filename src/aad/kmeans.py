@@ -51,6 +51,12 @@ def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centroids
 
 
+def _check_k(k: int) -> None:
+    """The one range rule of K-Means settings, for the detector and kmeans_fit."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 _MAX_ITER = 300  # Lloyd iterations at most; the value of scikit-learn's KMeans max_iter
 _TOL = 1e-4  # stop once no centroid moves this far; the value of scikit-learn's KMeans tol
 
@@ -62,8 +68,7 @@ def kmeans_fit(X, k: int = 8, seed: int = 0) -> KMeansModel:
     is reached. inertia_history holds the nearest-centroid SSE before each
     update plus the final value; it is non-increasing.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if n < k:
@@ -131,6 +136,7 @@ class KMeansDetector(Detector):
 
     def __init__(self, k: int = 8, seed: int = 0):
         super().__init__()
+        _check_k(k)
         self.k = k
         self.seed = seed
 

@@ -72,12 +72,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
+def _check_settings(hidden: int = 64, epochs: int = 30, batch: int = 64, lr: float = 1e-3) -> None:
+    """The range rules of LSTM-AE settings, for the detector, lstm_ae_init and lstm_ae_train."""
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+
+
 def lstm_ae_init(n_mels: int = 128, hidden: int = 64, seed: int = 0) -> LstmAeModel:
     """Seeded init: weights uniform in [-1/sqrt(h), 1/sqrt(h)], forget bias 1."""
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
-    if hidden < 1:
-        raise ValueError(f"hidden must be >= 1, got {hidden}")
+    _check_settings(hidden=hidden)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(hidden)
     enc_W = rng.uniform(-scale, scale, size=(4 * hidden, n_mels + hidden))
@@ -228,12 +239,7 @@ def lstm_ae_train(
     epoch e. A non-finite batch loss aborts training and returns the last
     finite end-of-epoch checkpoint with a warning.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if not 0 < lr < np.inf:
-        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    _check_settings(epochs=epochs, batch=batch, lr=lr)
     X = np.ascontiguousarray(_model_batch(model, frames))  # batches gather from contiguous rows
     n = X.shape[0]
     if n < 1:
@@ -303,6 +309,7 @@ class LstmAeDetector(Detector):
     def __init__(self, hidden: int = 64, epochs: int = 30, batch: int = 64,
                  lr: float = 1e-3, seed: int = 0):
         super().__init__()
+        _check_settings(hidden, epochs, batch, lr)
         self.hidden = hidden
         self.epochs = epochs
         self.batch = batch

@@ -48,6 +48,14 @@ class OcSvmModel:
         return np.sum(self.support_vectors**2, axis=1)
 
 
+def _check_settings(nu: float = 0.1, gamma="scale") -> None:
+    """The range rules of OC-SVM settings, for the detector, ocsvm_fit and resolve_gamma."""
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu must be in (0, 1], got {nu}")
+    if gamma != "scale" and not 0 < float(gamma) < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {float(gamma)}")
+
+
 def resolve_gamma(gamma, rows: np.ndarray) -> float:
     """'scale' resolves to 1 / (d * var(X)); explicit finite positive floats pass through."""
     if gamma == "scale":
@@ -55,10 +63,8 @@ def resolve_gamma(gamma, rows: np.ndarray) -> float:
         if var <= 0:
             var = 1.0
         return 1.0 / (rows.shape[1] * var)
-    g = float(gamma)
-    if not 0 < g < np.inf:
-        raise ValueError(f"gamma must be finite and positive, got {g}")
-    return g
+    _check_settings(gamma=gamma)
+    return float(gamma)
 
 
 def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float, a_sq=None, b_sq=None) -> np.ndarray:
@@ -86,8 +92,7 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: 
     n = rows.shape[0]
     if n < 1:
         raise TooFewSamplesError("need at least one training row")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must be in (0, 1], got {nu}")
+    _check_settings(nu=nu)
 
     g = resolve_gamma(gamma, rows)
     if n == 1:
@@ -208,6 +213,7 @@ class OcSvmDetector(Detector):
 
     def __init__(self, nu: float = 0.1, gamma="scale"):
         super().__init__()
+        _check_settings(nu, gamma)
         self.nu = nu
         self.gamma = gamma
 

@@ -3,25 +3,25 @@ import struct
 import numpy as np
 import pytest
 
-from aad.audio_io import (
-    AudioClip,
-    NoiseProfile,
-    estimate_noise_profile,
-    load_wav,
-    rms_normalize,
-    save_wav,
-    spectral_gate,
-)
+from aad.audio_io import AudioClip, load_wav, rms_normalize, save_wav
+from aad.calibration import percentile
 from aad.cli import main
 from aad.errors import (
     CorruptHeaderError,
     EmptyAudioError,
-    ShapeMismatchError,
     SilentInputWarning,
-    TooFewColumnsError,
+    SpectrogramTooShortError,
     UnsupportedFormatError,
 )
-from aad.features import DB_FLOOR
+from aad.features import (
+    DB_FLOOR,
+    _spectral_gate,
+    clip_mel_db,
+    default_framing,
+    frame_pipeline,
+    minmax_normalize,
+    segment_frames,
+)
 
 from conftest import make_clip, mel_db_matrix, sine_clip, traced_peak
 
@@ -226,49 +226,65 @@ class TestRmsNormalize:
         assert np.array_equal(result.clip.samples, np.clip(scaled, -1.0, 1.0))
 
 
+def sort_interpolate_floor(values, p):
+    """Each row's p-th percentile by sorting and linear interpolation, independent of the library."""
+    s = np.sort(values, axis=1)
+    idx = p / 100.0 * (s.shape[1] - 1)
+    lo, hi = int(np.floor(idx)), int(np.ceil(idx))
+    return s[:, lo] + (idx - lo) * (s[:, hi] - s[:, lo]) if lo != hi else s[:, lo]
+
+
 class TestNoiseProfile:
+    """The per-band floor, seen through a zero-margin gate: a cell is gated iff it is <= its band's floor."""
+
     def test_constant_band(self):
         mel = mel_db_matrix(np.full((4, 12), -40.0))
-        profile = estimate_noise_profile(mel, percentile_p=30.0)
-        assert profile.floor_db == pytest.approx([-40.0] * 4)
+        gated = _spectral_gate(mel, percentile_p=30.0, margin_db=0.0)
+        assert np.all(gated.values == DB_FLOOR)
 
     def test_median_band(self):
-        mel = mel_db_matrix(np.linspace(-80.0, -40.0, 11)[None, :])
-        profile = estimate_noise_profile(mel, percentile_p=50.0)
-        assert profile.floor_db[0] == pytest.approx(-60.0, abs=1e-12)
+        values = np.linspace(-80.0, -40.0, 11)[None, :]
+        gated = _spectral_gate(mel_db_matrix(values), percentile_p=50.0, margin_db=0.0)
+        assert np.all(gated.values[0, :6] == DB_FLOOR)  # the median is -60, the sixth cell
+        assert np.array_equal(gated.values[0, 6:], values[0, 6:])
 
     def test_matches_sort_interpolate_oracle(self, rng):
         values = rng.uniform(-80.0, 0.0, (6, 50))
         mel = mel_db_matrix(values)
         for p in (5.0, 33.3, 50.0, 77.7, 95.0):
-            profile = estimate_noise_profile(mel, percentile_p=p)
-            for band in range(6):
-                s = np.sort(values[band])
-                idx = p / 100.0 * (s.size - 1)
-                lo, hi = int(np.floor(idx)), int(np.ceil(idx))
-                expected = s[lo] + (idx - lo) * (s[hi] - s[lo]) if lo != hi else s[lo]
-                assert profile.floor_db[band] == pytest.approx(expected, abs=1e-12)
+            floor = sort_interpolate_floor(values, p)
+            assert np.array_equal(floor, [percentile(row, p) for row in values])
+            gated = _spectral_gate(mel, percentile_p=p, margin_db=2.5)
+            assert np.array_equal(gated.values, np.where(values <= floor[:, None] + 2.5, DB_FLOOR, values))
 
     def test_too_few_columns(self):
         mel = mel_db_matrix(np.full((4, 9), -40.0))
-        with pytest.raises(TooFewColumnsError):
-            estimate_noise_profile(mel, percentile_p=50.0)
+        with pytest.raises(SpectrogramTooShortError, match="need >= 10 spectrogram columns"):
+            _spectral_gate(mel, percentile_p=50.0, margin_db=6.0)
+
+    @pytest.mark.parametrize("p", [0.0, 100.0, -1.0, float("nan")])
+    def test_percentile_outside_the_open_range(self, p):
+        with pytest.raises(ValueError, match="denoise_percentile must be in"):
+            _spectral_gate(mel_db_matrix(np.full((4, 12), -40.0)), percentile_p=p, margin_db=6.0)
+
+    @pytest.mark.parametrize("margin", [-1.0, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_not_negative(self, margin):
+        with pytest.raises(ValueError, match="denoise_margin_db must be finite and >= 0"):
+            _spectral_gate(mel_db_matrix(np.full((4, 12), -40.0)), percentile_p=20.0, margin_db=margin)
 
 
 class TestSpectralGate:
     def test_below_gate_goes_to_floor(self):
-        mel = mel_db_matrix(np.array([[-70.0, -20.0]]))
-        profile = NoiseProfile(floor_db=np.array([-65.0]), margin_db=6.0)
-        gated = spectral_gate(mel, profile)
-        assert gated.values[0, 0] == DB_FLOOR
-        assert gated.values[0, 1] == -20.0
+        mel = mel_db_matrix(np.array([[-70.0] * 9 + [-20.0]]))
+        gated = _spectral_gate(mel, percentile_p=50.0, margin_db=6.0)  # floor -70, gate -64
+        assert np.all(gated.values[0, :9] == DB_FLOOR)
+        assert gated.values[0, 9] == -20.0
         assert gated.stage == "db"
 
     def test_zero_margin_exact_minima_gated(self, rng):
         values = rng.uniform(-60.0, -10.0, (5, 20))
         mel = mel_db_matrix(values)
-        profile = NoiseProfile(floor_db=values.min(axis=1), margin_db=0.0)
-        gated = spectral_gate(mel, profile)
+        gated = _spectral_gate(mel, percentile_p=1e-6, margin_db=0.0)  # floor between the two lowest cells
         for band in range(5):
             for col in range(20):
                 if values[band, col] <= values[band].min():
@@ -279,17 +295,25 @@ class TestSpectralGate:
     def test_never_increases_and_leaves_pass_cells(self, rng):
         values = rng.uniform(-75.0, 0.0, (8, 30))
         mel = mel_db_matrix(values)
-        profile = estimate_noise_profile(mel, percentile_p=20.0, margin_db=6.0)
-        gated = spectral_gate(mel, profile)
+        gated = _spectral_gate(mel, percentile_p=20.0, margin_db=6.0)
         assert np.all(gated.values <= values + 1e-12)
-        above = values > profile.floor_db[:, None] + profile.margin_db
+        above = values > np.array([percentile(row, 20.0) for row in values])[:, None] + 6.0
         assert np.array_equal(gated.values[above], values[above])
 
-    def test_shape_mismatch(self):
-        mel = mel_db_matrix(np.full((4, 12), -40.0))
-        profile = NoiseProfile(floor_db=np.zeros(3) - 50.0, margin_db=6.0)
-        with pytest.raises(ShapeMismatchError):
-            spectral_gate(mel, profile)
+    def test_frame_pipeline_denoise_matches_oracle(self, rng):
+        """frame_pipeline(denoise=True) equals, bit for bit, the gate rebuilt from its stages."""
+        t = np.arange(32000) / 16000.0
+        clip = make_clip(0.3 * np.sin(2 * np.pi * 440.0 * t) * (t > 1.0) + rng.uniform(-0.05, 0.05, t.size))
+        got = frame_pipeline(clip, denoise=True, denoise_percentile=20.0, denoise_margin_db=6.0)
+        mel_db = clip_mel_db(rms_normalize(clip, 0.1).clip, 1024, 512, 128, 0.0, None)
+        floor = sort_interpolate_floor(mel_db.values, 20.0)
+        gate = mel_db.values <= floor[:, None] + 6.0
+        assert 0 < np.count_nonzero(gate) < gate.size
+        gated = mel_db_matrix(np.where(gate, DB_FLOOR, mel_db.values))
+        expected = segment_frames(minmax_normalize(gated), *default_framing(16000, 512))
+        assert np.array_equal(got.frames, expected.frames)
+        assert (got.frame_size, got.hop_size) == (expected.frame_size, expected.hop_size)
+        assert not np.array_equal(got.frames, frame_pipeline(clip).frames)
 
 
 class TestAudioClipInvariants:

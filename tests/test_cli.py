@@ -612,6 +612,62 @@ class TestNonFiniteSettings:
         assert not (tmp_path / "m.model").exists()
 
 
+class TestDenoiseSettings:
+    @pytest.mark.parametrize("setting, message", [
+        ("denoise_margin_db = nan", "denoise_margin_db must be finite and >= 0, got nan"),
+        ("denoise_margin_db = inf", "denoise_margin_db must be finite and >= 0, got inf"),
+        ("denoise_margin_db = -1", "denoise_margin_db must be finite and >= 0, got -1.0"),
+        ("denoise_percentile = 100", "denoise_percentile must be in (0, 100), got 100.0"),
+    ], ids=["margin-nan", "margin-inf", "margin-negative", "percentile-100"])
+    def test_bad_gate_setting_is_a_usage_error(self, tiny_dataset, tmp_path, capsys, setting, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"denoise = true\n{setting}\n")
+        capsys.readouterr()
+        rc = main(["features", "--wav", str(tiny_dataset / "val.wav"), "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: features: {message}\n"
+        assert not list((tmp_path / "out").glob("*.frames"))
+
+
+class TestBenchChecksSettingsFirst:
+    @pytest.mark.parametrize("old, new, message", [
+        ("kmeans_k = 8", "kmeans_k = 0", "train[kmeans]: k must be >= 1, got 0"),
+        ("ocsvm_gamma = scale", "ocsvm_gamma = -1", "train[ocsvm]: gamma must be finite and positive, got -1.0"),
+    ], ids=["kmeans_k-0", "ocsvm_gamma-negative"])
+    def test_bad_detector_setting_writes_no_archive(self, tiny_dataset, tmp_path, capsys, old, new, message):
+        config = tmp_path / "bad.cfg"
+        text = (tiny_dataset / "fast.txt").read_text()
+        assert old in text
+        config.write_text(text.replace(old, new))
+        capsys.readouterr()
+        rc = main(["bench", "--manifest", str(tiny_dataset / "manifest.tsv"), "--out", str(tmp_path / "o"),
+                   "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        written = [p.name for p in (tmp_path / "o").iterdir()] if (tmp_path / "o").exists() else []
+        suffixes = (".frames", ".framelabels", ".model", ".calibration", ".scores")
+        assert not [name for name in written if name.endswith(suffixes)]
+
+
+class TestFlagsThatLoadNoConfig:
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("flag, value", [("--config", "x.cfg"), ("--seed", "3")])
+    def test_config_and_seed_are_usage_errors(self, tmp_path, capsys, command, flag, value):
+        argv = {
+            "score": ["score", "--model", "m", "--frames", "f", "--out", str(tmp_path / "s")],
+            "eval": ["eval", "--scores", "s", "--labels", "l", "--threshold", "0", "--out", str(tmp_path / "e")],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestInspect:
     def test_matrix_round_trip(self, tmp_path, rng):
         matrix = rng.standard_normal((7, 11))

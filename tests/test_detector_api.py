@@ -246,6 +246,20 @@ class TestDetectorContract:
             assert np.array_equal(loaded.vectorizer.std, det.vectorizer.std)
             assert loaded.vectorizer.frame_shape == det.vectorizer.frame_shape == (4, 4)
 
+    @pytest.mark.parametrize("detector_type, settings, message", [
+        (KMeansDetector, {"k": 0}, "k must be >= 1, got 0"),
+        (OcSvmDetector, {"nu": 0.0}, "nu must be in (0, 1], got 0.0"),
+        (OcSvmDetector, {"gamma": -1.0}, "gamma must be finite and positive, got -1.0"),
+        (LstmAeDetector, {"hidden": 0}, "hidden must be >= 1, got 0"),
+        (LstmAeDetector, {"epochs": -1}, "epochs must be >= 0, got -1"),
+        (LstmAeDetector, {"batch": 0}, "batch must be >= 1, got 0"),
+        (LstmAeDetector, {"lr": float("inf")}, "lr must be finite and > 0, got inf"),
+    ], ids=["k", "nu", "gamma", "hidden", "epochs", "batch", "lr"])
+    def test_constructor_checks_its_settings(self, detector_type, settings, message):
+        with pytest.raises(ValueError) as exc:
+            detector_type(**settings)
+        assert str(exc.value) == message
+
     def test_unknown_kind_tag_rejected(self, tmp_path):
         train = random_frames(num_frames=20, n_mels=4, frame_size=3, seed=18)
         path = tmp_path / "m.model"
