@@ -12,7 +12,6 @@ from .detector_api import AnomalyScoreSeries, Detector, Vectorizer, persist, res
 from .features import (
     DB_FLOOR,
     FrameTensor,
-    MelFilterbank,
     MelSpectrogram,
     StftMatrix,
     default_framing,
@@ -20,7 +19,6 @@ from .features import (
     frame_pipeline,
     load_frames,
     mel_filterbank,
-    mel_power,
     mfcc,
     minmax_normalize,
     power_to_db,

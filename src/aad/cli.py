@@ -63,6 +63,8 @@ def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
+    if not 0 <= cfg.seed < 2**63:  # a model file stores the seed as an int64 block
+        raise ValueError(f"seed must be in [0, 2**63), got {cfg.seed}")
     return cfg
 
 

@@ -95,9 +95,9 @@ def _parse(text: str, hint):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a key = value config file; unknown keys and values their field's type rejects are errors."""
+    """Parse a key = value config file; unknown or repeated keys and values their field's type rejects are errors."""
     hints = get_type_hints(RunConfig)
-    values = {}
+    values, key_lines = {}, {}
     for lineno, line in _text_lines(path, ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -108,6 +108,9 @@ def load_config(path) -> RunConfig:
         key = key.strip()
         if key not in hints:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}, first set on line {key_lines[key]}")
+        key_lines[key] = lineno
         try:
             values[key] = _parse(value.strip(), hints[key])
         except ValueError as exc:

@@ -30,7 +30,6 @@ from .errors import (
     CorruptModelFileError,
     InvalidBandRangeError,
     InvalidFftSizeError,
-    ShapeMismatchError,
     SignalTooShortError,
     SpectrogramTooShortError,
     TooManyCoefficientsError,
@@ -50,8 +49,6 @@ class StftMatrix:
 
     values: np.ndarray
     n_fft: int
-    hop_length: int
-    sample_rate: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -65,22 +62,6 @@ class StftMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filter weights [n_mels x n_bins] for a fixed FFT layout."""
-
-    weights: np.ndarray
-    sample_rate: int
-    n_fft: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or np.any(w < 0):
-            raise ValueError("weights must be a non-negative matrix")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -182,7 +163,7 @@ def stft(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> StftMatri
     multiplied by a periodic Hann window; only bins 0..n_fft/2 are kept.
     """
     spec = _spectrum_rows(_analysis_windows(clip, n_fft, hop_length), hann_window(n_fft))
-    return StftMatrix(values=spec.T, n_fft=n_fft, hop_length=hop_length, sample_rate=clip.sample_rate)
+    return StftMatrix(values=spec.T, n_fft=n_fft)
 
 
 def _analysis_windows(clip: AudioClip, n_fft: int, hop_length: int) -> np.ndarray:
@@ -216,8 +197,8 @@ def mel_filterbank(
     n_mels: int = 128,
     fmin: float = 0.0,
     fmax: float | None = None,
-) -> MelFilterbank:
-    """Triangular filters with peaks equally spaced on the Mel scale.
+) -> np.ndarray:
+    """Read-only float64 weights [n_mels x n_fft//2+1] of triangular filters with peaks equally spaced on the Mel scale.
 
     Each triangle is scaled by 2 / (f_right - f_left) so filters integrate
     to the same area regardless of bandwidth.
@@ -239,17 +220,18 @@ def mel_filterbank(
     falling = (right - bin_hz[None, :]) / np.maximum(right - center, 1e-30)
     weights = np.maximum(0.0, np.minimum(rising, falling))
     weights *= 2.0 / (right - left)
-    return MelFilterbank(weights=weights, sample_rate=sample_rate, n_fft=n_fft)
+    weights.flags.writeable = False
+    return weights
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax) -> MelFilterbank:
+def _shared_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax) -> np.ndarray:
     """One read-only mel_filterbank per parameter set, reused by every clip_mel_db call."""
     return mel_filterbank(sample_rate, n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
 
 
-def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: MelFilterbank) -> MelSpectrogram:
-    """mel_power(stft(clip), fb), bit for bit, without the whole complex STFT.
+def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: np.ndarray) -> MelSpectrogram:
+    """Mel power sum_k fb[m, k] |STFT(n, k)|^2: the bits of fb @ |stft(clip).values|^2 without the whole STFT.
 
     rfft and |.|^2 run over blocks of _STFT_BLOCK columns into one
     [n_cols x n_bins] power array; the filterbank GEMM runs once over all of
@@ -264,30 +246,14 @@ def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: MelFilt
         np.abs(_spectrum_rows(windows[a : a + _STFT_BLOCK], window), out=rows)
         np.square(rows, out=rows)
     return MelSpectrogram(
-        values=fb.weights @ power.T, stage="power", sample_rate=clip.sample_rate, hop_length=hop_length
+        values=fb @ power.T, stage="power", sample_rate=clip.sample_rate, hop_length=hop_length
     )
 
 
 def clip_mel_db(clip: AudioClip, n_fft: int, hop_length: int, n_mels: int, fmin: float, fmax) -> MelSpectrogram:
-    """power_to_db(mel_power(stft(clip), mel_filterbank(...))) bit for bit, from the shared filterbank."""
+    """power_to_db of the clip's Mel power (_blocked_mel_power) from the shared filterbank."""
     fb = _shared_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
     return power_to_db(_blocked_mel_power(clip, n_fft, hop_length, fb))
-
-
-def mel_power(stft_matrix: StftMatrix, fb: MelFilterbank) -> MelSpectrogram:
-    """Mel power M(m, n) = sum_k H_m(k) |STFT(n, k)|^2."""
-    if fb.n_fft != stft_matrix.n_fft or fb.sample_rate != stft_matrix.sample_rate:
-        raise ShapeMismatchError(
-            f"filterbank built for n_fft={fb.n_fft}/sr={fb.sample_rate}, "
-            f"STFT has n_fft={stft_matrix.n_fft}/sr={stft_matrix.sample_rate}"
-        )
-    power = np.abs(stft_matrix.values) ** 2
-    return MelSpectrogram(
-        values=fb.weights @ power,
-        stage="power",
-        sample_rate=stft_matrix.sample_rate,
-        hop_length=stft_matrix.hop_length,
-    )
 
 
 def power_to_db(mel: MelSpectrogram) -> MelSpectrogram:
@@ -460,4 +426,6 @@ def load_frames(path) -> FrameTensor:
         raise CorruptModelFileError(f"{path}: frame geometry below 1: {geometry}")
     if spectrogram.shape[0] == 0 or spectrogram.shape[1] < geometry["frame_size"]:
         raise CorruptModelFileError(f"{path}: spectrogram {spectrogram.shape} too small for one frame: {geometry}")
+    if not np.isfinite(spectrogram).all():
+        raise CorruptModelFileError(f"{path}: spectrogram has a non-finite cell")
     return FrameTensor(parts=(spectrogram,), **geometry)

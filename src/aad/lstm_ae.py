@@ -62,8 +62,7 @@ class LstmAeModel:
 
 @dataclass(frozen=True)
 class ReconstructionBatch:
-    reconstructions: np.ndarray  # [B x T x M]
-    mse: np.ndarray              # [B]
+    mse: np.ndarray  # [B]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -216,12 +215,14 @@ def _finish(model: LstmAeModel, history: list[float], batch: int, lr: float, see
 
 
 def lstm_ae_forward(model: LstmAeModel, frames) -> ReconstructionBatch:
-    """Reconstruct a batch and report per-frame MSE (mean over time and bands)."""
+    """Per-frame reconstruction MSE (mean over time and bands), _SCORE_BLOCK frames per forward pass to bound memory."""
     X = _model_batch(model, frames)
     B, T, M = X.shape
-    Xt, Yt, _, _ = _forward(model, X)
-    mse = np.mean(((Yt - Xt) ** 2).reshape(T, B, M), axis=(0, 2))
-    return ReconstructionBatch(reconstructions=Yt.reshape(T, B, M).transpose(1, 0, 2), mse=mse)
+    mse = np.empty(B)
+    for start in range(0, B, _SCORE_BLOCK):
+        Xt, Yt, _, _ = _forward(model, X[start : start + _SCORE_BLOCK])
+        mse[start : start + _SCORE_BLOCK] = np.mean(((Yt - Xt) ** 2).reshape(T, -1, M), axis=(0, 2))
+    return ReconstructionBatch(mse=mse)
 
 
 def lstm_ae_train(
@@ -253,7 +254,7 @@ def lstm_ae_train(
     step = 0
     rng = np.random.default_rng(seed)
 
-    initial_loss = float(np.mean(_block_mse(current, X)))
+    initial_loss = float(np.mean(lstm_ae_forward(current, X).mse))
     history: list[float] = [initial_loss]
     checkpoint = current.copy()
     checkpoint_history = list(history)
@@ -287,17 +288,9 @@ def lstm_ae_train(
     return _finish(current, history, batch, lr, seed)
 
 
-def _block_mse(model: LstmAeModel, X: np.ndarray) -> np.ndarray:
-    """Per-frame reconstruction MSE, forwarded _SCORE_BLOCK frames at a time so memory stays bounded."""
-    mse = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], _SCORE_BLOCK):
-        mse[start : start + _SCORE_BLOCK] = lstm_ae_forward(model, X[start : start + _SCORE_BLOCK]).mse
-    return mse
-
-
 def lstm_ae_score(model: LstmAeModel, frames) -> AnomalyScoreSeries:
-    """Per-frame reconstruction MSE, forwarded _SCORE_BLOCK frames at a time (_block_mse)."""
-    return AnomalyScoreSeries(scores=_block_mse(model, _model_batch(model, frames)))
+    """Per-frame reconstruction MSE (lstm_ae_forward)."""
+    return AnomalyScoreSeries(scores=lstm_ae_forward(model, frames).mse)
 
 
 class LstmAeDetector(Detector):

@@ -9,7 +9,7 @@ import pytest
 from aad.audio_io import AudioClip
 from aad.blocks import decode_blocks, encode_blocks
 from aad.detector_api import _HEADER_LEN
-from aad.features import FrameTensor, MelSpectrogram
+from aad.features import FrameTensor, MelSpectrogram, stft
 
 
 @pytest.fixture
@@ -39,6 +39,13 @@ def sine_clip(freq=440.0, duration_s=1.0, sample_rate=16000, amplitude=1.0):
 def mel_db_matrix(values, sample_rate=16000, hop_length=512):
     return MelSpectrogram(values=np.asarray(values, dtype=float), stage="db",
                           sample_rate=sample_rate, hop_length=hop_length)
+
+
+def whole_mel_power(clip, fb, n_fft=1024, hop_length=512):
+    """The reference Mel power fb @ |STFT|^2, over the clip's whole complex STFT."""
+    spec = stft(clip, n_fft=n_fft, hop_length=hop_length)
+    return MelSpectrogram(values=fb @ np.abs(spec.values) ** 2, stage="power",
+                          sample_rate=clip.sample_rate, hop_length=hop_length)
 
 
 def random_frames(num_frames=20, n_mels=12, frame_size=6, hop_size=3, seed=0,

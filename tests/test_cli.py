@@ -15,7 +15,7 @@ from aad.detector_api import restore
 from aad.errors import ManifestError
 from aad.features import load_frames
 
-from conftest import make_clip, random_frames, with_kind_tag, write_frame_archive
+from conftest import make_clip, random_frames, whole_mel_power, with_kind_tag, write_frame_archive
 
 pytestmark = pytest.mark.cli
 
@@ -280,13 +280,17 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize("kind", ["kmeans", "ocsvm", "lstmae"])
     def test_empty_archive_is_a_data_error(self, tmp_path, capsys, kind):
-        frames = tmp_path / "train.frames"
-        write_frame_archive(frames, random_frames(), spectrogram=np.zeros((12, 0), "<f4"))
-        capsys.readouterr()
-        rc = main(["train", "--frames", str(frames), "--detector", kind, "--out", str(tmp_path / "m.model")])
-        assert rc == 3
-        assert capsys.readouterr().err.startswith("error: train:")
-        assert not (tmp_path / "m.model").exists()
+        """An archive with no columns, and one whose spectrogram holds a NaN cell."""
+        nan_cell = random_frames().parts[0].copy()
+        nan_cell[3, 4] = np.nan
+        for name, spectrogram in [("empty", np.zeros((12, 0), "<f4")), ("nan", nan_cell)]:
+            frames = tmp_path / f"{name}.frames"
+            write_frame_archive(frames, random_frames(), spectrogram=spectrogram)
+            capsys.readouterr()
+            rc = main(["train", "--frames", str(frames), "--detector", kind, "--out", str(tmp_path / "m.model")])
+            assert rc == 3, name
+            assert capsys.readouterr().err.startswith("error: train:"), name
+            assert not (tmp_path / "m.model").exists(), name
 
     @pytest.mark.parametrize("kind, n_mels, frame_size, message", [
         pytest.param(kind, 5, 4, "feature dimension 20 != model dimension", id=kind)
@@ -702,13 +706,13 @@ class TestInspect:
     def test_mel_db_is_the_whole_matrix_chain(self, tmp_path, rng):
         """Two full STFT blocks and a ragged 17-column one: the bits of the reference chain."""
         from aad.audio_io import load_wav, save_wav
-        from aad.features import _STFT_BLOCK, mel_filterbank, mel_power, power_to_db, stft
+        from aad.features import _STFT_BLOCK, mel_filterbank, power_to_db
 
         n_cols = 2 * _STFT_BLOCK + 17
         save_wav(make_clip(rng.uniform(-0.9, 0.9, 1024 + (n_cols - 1) * 512 + 300)), tmp_path / "a.wav")
         assert main(["inspect", "--wav", str(tmp_path / "a.wav"), "--out", str(tmp_path / "ins")]) == 0
         clip = load_wav(tmp_path / "a.wav")
-        want = power_to_db(mel_power(stft(clip), mel_filterbank(clip.sample_rate, 1024))).values
+        want = power_to_db(whole_mel_power(clip, mel_filterbank(clip.sample_rate, 1024))).values
         _, mel_db = read_matrix(tmp_path / "ins" / "mel_db.tsv")
         assert mel_db.shape == (128, n_cols)
         assert np.array_equal(mel_db, want)
@@ -786,6 +790,43 @@ class TestConfig:
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad value for {key}: "):
             load_config(path)
+
+    def test_repeated_key_is_a_data_error(self, tmp_path, capsys):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        (tmp_path / "twice.cfg").write_text("n_mels = 16\nseed = 3\nn_mels = 32\n")
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", "kmeans", "--config", str(tmp_path / "twice.cfg"),
+                   "--out", str(tmp_path / "m.model")])
+        assert rc == 3
+        assert "twice.cfg:3: repeated config key 'n_mels', first set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("kind, seed, via_config", [
+        pytest.param("kmeans", 2**70, False, id="kmeans-2**70"),
+        pytest.param("ocsvm", -1, False, id="ocsvm-minus1"),
+        pytest.param("lstmae", 2**70, True, id="lstmae-2**70-config"),
+    ])
+    def test_seed_outside_int64_range_is_a_usage_error(self, tmp_path, capsys, kind, seed, via_config):
+        """A model file stores the seed as an int64 block; -1 and 2**70 never reach a stage."""
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        (tmp_path / "seed.cfg").write_text(f"seed = {seed}\n")
+        flags = ["--config", str(tmp_path / "seed.cfg")] if via_config else ["--seed", str(seed)]
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", kind, *flags, "--out", str(tmp_path / "m.model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed must be in [0, 2**63), got {seed}")
+        assert not (tmp_path / "m.model").exists()
+
+    def test_largest_int64_seed_round_trips(self, tmp_path):
+        frames = tmp_path / "train.frames"
+        write_frame_archive(frames, random_frames())
+        model = tmp_path / "m.model"
+        assert main(["train", "--frames", str(frames), "--detector", "kmeans", "--seed", str(2**63 - 1),
+                     "--out", str(model)]) == 0
+        assert main(["score", "--model", str(model), "--frames", str(frames), "--out", str(tmp_path / "s")]) == 0
 
     def test_boolean_word_in_an_integer_key_exits_3(self, tmp_path, capsys):
         frames = tmp_path / "train.frames"

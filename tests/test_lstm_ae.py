@@ -120,6 +120,12 @@ def ref_forward(model, X):
     return H @ model.proj_W.T + model.proj_b, H, enc_caches, dec_caches
 
 
+def reconstructions(model, X):
+    """One unblocked forward pass's reconstructions as [B x T x M]."""
+    B, T, M = X.shape
+    return lstm_ae._forward(model, X)[1].reshape(T, B, M).transpose(1, 0, 2)
+
+
 def ref_loss_and_grads(model, X):
     """Loss and gradients from the per-step reference, each step's dW accumulated in the loop."""
     B, T, M = X.shape
@@ -205,10 +211,11 @@ class TestForward:
         model = lstm_ae_init(6, 4, seed=3)
         X = np.zeros((2, 5, 6))
         out = lstm_ae_forward(model, X)
+        Y = reconstructions(model, X)
         # zero input still drives the decoder through biases; MSE is the
         # mean square of that bias-driven output
-        assert out.mse == pytest.approx(np.mean(out.reconstructions**2, axis=(1, 2)))
-        assert np.array_equal(out.reconstructions[0], out.reconstructions[1])
+        assert out.mse == pytest.approx(np.mean(Y**2, axis=(1, 2)))
+        assert np.array_equal(Y[0], Y[1])
 
     def test_identical_frames_identical_mse(self, rng):
         model = lstm_ae_init(6, 4, seed=4)
@@ -220,9 +227,8 @@ class TestForward:
     def test_matches_scalar_loop_oracle(self, rng):
         model = lstm_ae_init(n_mels=5, hidden=3, seed=6)
         X = rng.uniform(0, 1, (2, 4, 5))
-        out = lstm_ae_forward(model, X)
         oracle = scalar_forward(model, X)
-        assert np.max(np.abs(out.reconstructions - oracle)) < 1e-10
+        assert np.max(np.abs(reconstructions(model, X) - oracle)) < 1e-10
 
     def test_shape_mismatch(self):
         model = lstm_ae_init(6, 4, seed=0)
@@ -265,7 +271,7 @@ class TestReferenceForm:
         X = rng.uniform(0, 1, (batch, 16, 128))
         out = lstm_ae_forward(model, X)
         Y, _, _, _ = ref_forward(model, X)
-        assert rel_err(out.reconstructions, Y) <= 1e-12
+        assert rel_err(reconstructions(model, X), Y) <= 1e-12
         assert rel_err(out.mse, np.mean((Y - X) ** 2, axis=(1, 2))) <= 1e-12
         loss, grads = _loss_and_grads(model, X)
         ref_loss, ref_grads = ref_loss_and_grads(model, X)
@@ -399,9 +405,13 @@ class TestScore:
         assert score < 1e-3
 
     def test_score_equals_forward_mse(self, rng):
+        """A single short block, and two score blocks with a ragged 17-frame tail."""
         model = lstm_ae_init(6, 4, seed=9)
-        X = rng.uniform(0, 1, (7, 5, 6))
-        assert np.array_equal(lstm_ae_score(model, X).scores, lstm_ae_forward(model, X).mse)
+        for n in (7, lstm_ae._SCORE_BLOCK + 17):
+            X = rng.uniform(0, 1, (n, 5, 6))
+            scores = lstm_ae_score(model, X).scores
+            assert np.array_equal(scores, lstm_ae_forward(model, X).mse)
+            assert rel_err(scores, np.mean((reconstructions(model, X) - X) ** 2, axis=(1, 2))) <= 1e-12
 
 
 class TestDetectorWrapper:
