@@ -41,10 +41,10 @@ SAMPLE_RATE = 16000
 
 # kind -> builder of that detector from its run settings; bench runs the kinds in this order
 DETECTORS = {
-    "kmeans": lambda cfg: KMeansDetector(k=cfg.kmeans_k, seed=cfg.seed),
-    "ocsvm": lambda cfg: OcSvmDetector(nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma),
-    "lstmae": lambda cfg: LstmAeDetector(hidden=cfg.lstm_hidden, epochs=cfg.lstm_epochs,
-                                         batch=cfg.lstm_batch, lr=cfg.lstm_lr, seed=cfg.seed),
+    KMeansDetector.kind: lambda cfg: KMeansDetector(k=cfg.kmeans_k, seed=cfg.seed),
+    OcSvmDetector.kind: lambda cfg: OcSvmDetector(nu=cfg.ocsvm_nu, gamma=cfg.ocsvm_gamma),
+    LstmAeDetector.kind: lambda cfg: LstmAeDetector(hidden=cfg.lstm_hidden, epochs=cfg.lstm_epochs,
+                                                    batch=cfg.lstm_batch, lr=cfg.lstm_lr, seed=cfg.seed),
 }
 
 
@@ -61,8 +61,8 @@ def _stage(name: str):
 
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if (seed := getattr(args, "seed", None)) is not None:  # only synth, train and bench take --seed
+        cfg.seed = seed
     if not 0 <= cfg.seed < 2**63:  # a model file stores the seed as an int64 block
         raise ValueError(f"seed must be in [0, 2**63), got {cfg.seed}")
     return cfg
@@ -182,12 +182,12 @@ def cmd_synth(args) -> int:
                 ),
             }
 
-        out.mkdir(parents=True, exist_ok=True)
         full = gen_normal(total_s, SAMPLE_RATE, seed)
         edges = np.cumsum([0.0] + [durations[split] for split in SPLITS])  # sequential sums
         spans = dict(zip(SPLITS, zip(edges, edges[1:])))
-        # Inject before the first write: an injector that fails leaves no partial dataset.
+        # Inject before the first write: an injector that fails leaves no directory.
         injected = {split: inject(_slice_clip(full, *spans[split])) for split, inject in injectors.items()}
+        out.mkdir(parents=True, exist_ok=True)
         for split in SPLITS:
             labels_name = None
             if (labeled := injected.pop(split, None)) is not None:
@@ -205,11 +205,13 @@ def cmd_synth(args) -> int:
 
 # --- stage functions: the single-stage commands and bench both call these ----
 
-def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, feat.FrameTensor, np.ndarray | None]:
-    """Write <out>/<stem>.frames, plus <stem>.framelabels when an interval file is given.
+def write_features(wav, intervals, out, cfg: RunConfig) -> tuple[Path, feat.FrameTensor, np.ndarray | None]:
+    """Write <out>/<stem>.frames, plus <stem>.framelabels when intervals (read_intervals) are given.
 
-    Returns the archive path, the tensor written (equal to what load_frames
-    reads back) and the frame labels (None without labels).
+    Callers parse every labels file before the first call, so a bad one
+    leaves no archive. Returns the archive path, the tensor written (equal
+    to what load_frames reads back) and the frame labels (None without
+    intervals).
     """
     stem = Path(wav).stem
     frames = feat.frame_pipeline(
@@ -223,8 +225,8 @@ def write_features(wav, labels, out, cfg: RunConfig) -> tuple[Path, feat.FrameTe
     path = Path(out) / f"{stem}.frames"
     feat.save_frames(frames, path)
     vector = None
-    if labels:
-        vector = frame_labels(read_intervals(labels), frames)
+    if intervals is not None:
+        vector = frame_labels(intervals, frames)
         write_vector(Path(out) / f"{stem}.framelabels", vector, fmt="%d")
     return path, frames, vector
 
@@ -270,10 +272,10 @@ def evaluate(method: str, labels, scores, threshold: float,
 
 def cmd_features(args) -> int:
     cfg = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with _stage("features"):
-        path, frames, _ = write_features(args.wav, args.labels, out, cfg)
+        intervals = read_intervals(args.labels) if args.labels else None
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        path, frames, _ = write_features(args.wav, intervals, args.out, cfg)
     print(f"wrote {path} ({frames.num_frames} frames)")
     return 0
 
@@ -367,15 +369,16 @@ def _split_records(records: list[ManifestRecord]) -> dict[str, list[ManifestReco
     return by_split
 
 
-def _features_for(records: list[ManifestRecord], out_dir: Path, cfg: RunConfig):
+def _features_for(records: list[ManifestRecord], intervals: dict, out_dir: Path, cfg: RunConfig):
     """Write each record's frame archive and stack the tensors written, which equal the archives.
 
-    The stacked labels are None when no record in the split has a labels file.
+    intervals maps a labeled record's wav to its read_intervals. The stacked
+    labels are None when no record in the split has a labels file.
     """
     tensors = []
     labels_list = []
     for rec in records:
-        _, frames, labels = write_features(rec.wav, rec.labels, out_dir, cfg)
+        _, frames, labels = write_features(rec.wav, intervals.get(rec.wav), out_dir, cfg)
         tensors.append(frames)
         labels_list.append(labels if labels is not None else np.zeros(frames.num_frames, dtype=int))
     if len({(t.n_mels, t.frame_size, t.hop_size, t.sample_rate, t.hop_length) for t in tensors}) > 1:
@@ -419,12 +422,15 @@ def cmd_bench(args) -> int:
             detectors[kind] = build(cfg)
 
     with _stage("features"):
-        train_frames, _ = _features_for(by_split["train"], out, cfg)
-        val_frames, _ = _features_for(by_split["val"], out, cfg)
+        # every labels file parses before the first archive is written
+        intervals = {rec.wav: read_intervals(rec.labels)
+                     for recs in by_split.values() for rec in recs if rec.labels}
+        train_frames, _ = _features_for(by_split["train"], intervals, out, cfg)
+        val_frames, _ = _features_for(by_split["val"], intervals, out, cfg)
         calib_frames, calib_labels = (None, None)
         if "calib" in by_split:
-            calib_frames, calib_labels = _features_for(by_split["calib"], out, cfg)
-        test_frames, test_labels = _features_for(by_split["test"], out, cfg)
+            calib_frames, calib_labels = _features_for(by_split["calib"], intervals, out, cfg)
+        test_frames, test_labels = _features_for(by_split["test"], intervals, out, cfg)
 
     reports = []
     for kind, detector in detectors.items():
@@ -444,7 +450,7 @@ def cmd_bench(args) -> int:
 
     write_vector(out / "test.framelabels.all", test_labels, fmt="%d")
     payload = {
-        "config_digest": cfg.digest_hex(),
+        "config_digest": cfg.digest().hex(),
         "seed": cfg.seed,
         "rows": [dataclasses.asdict(r) for r in reports],
     }
@@ -469,10 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value config file")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    common(p)
+    seeded(p)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("knocks", "rare"), default="knocks")
     p.add_argument("--normal-s", type=float, default=None, dest="normal_s",
@@ -496,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="fit one detector on a frame archive")
-    common(p)
+    seeded(p)
     p.add_argument("--frames", required=True)
     p.add_argument("--detector", required=True, choices=tuple(DETECTORS))
     p.add_argument("--out", required=True, help="model file path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="pick a threshold from validation scores")
-    common(p)  # reads neither flag; perfbench's stream workload passes --config
+    common(p)  # reads no setting; the stream benchmark passes --config
     p.add_argument("--model", required=True)
     p.add_argument("--val-frames", required=True, dest="val_frames")
     p.add_argument("--calib-frames", dest="calib_frames")
@@ -527,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="full benchmark over a manifest")
-    common(p)
+    seeded(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)

@@ -40,17 +40,11 @@ class RunConfig:
     lstm_lr: float = 1e-3
     seed: int = 0
 
-    def canonical_lines(self) -> list[str]:
-        lines = []
-        for f in sorted(dataclasses.fields(self), key=lambda f: f.name):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        return lines
-
     def digest(self) -> bytes:
-        return hashlib.sha256("\n".join(self.canonical_lines()).encode()).digest()
-
-    def digest_hex(self) -> str:
-        return self.digest().hex()
+        """sha256 of one "name = repr(value)" line per field, in name order."""
+        ordered = sorted(dataclasses.fields(self), key=lambda f: f.name)
+        text = "\n".join(f"{f.name} = {getattr(self, f.name)!r}" for f in ordered)
+        return hashlib.sha256(text.encode()).digest()
 
     def write(self, path) -> None:
         text = "".join(f"{f.name} = {_format_value(getattr(self, f.name))}\n"

@@ -29,10 +29,6 @@ MODEL_MAGIC = b"AADMODEL"
 MODEL_VERSION = 2
 _HEADER_LEN = len(MODEL_MAGIC) + 4 + 8 + 32  # magic, version, kind tag, config digest
 
-KIND_KMEANS = "kmeans"
-KIND_OCSVM = "ocsvm"
-KIND_LSTM_AE = "lstmae"
-
 
 @dataclass(frozen=True)
 class AnomalyScoreSeries:
@@ -203,16 +199,15 @@ def _model_from_blocks(model_type, blocks: dict, path):
 def restore(path) -> Detector:
     """Load any persisted detector; scores reproduce the original bit-exactly.
 
-    The header's kind tag picks the detector class whose `kind` it is; that
-    class's `model_type` rebuilds the model from the blocks, and a vectorized
-    class gets its vectorizer's statistics back. Constructor settings that
-    only _fit() reads (k, nu, hidden) keep their class defaults; solver
-    tolerances are module constants, not constructor settings. The header
-    checks run in this order: magic, kind tag is ASCII, version, known kind;
-    the block checksum is checked last.
+    The header's kind tag picks the Detector subclass whose `kind` it is
+    (importing aad imports every kind); that class's `model_type` rebuilds
+    the model from the blocks, and a vectorized class gets its vectorizer's
+    statistics back. Constructor settings that only _fit() reads (k, nu,
+    hidden) keep their class defaults; solver tolerances are module
+    constants, not constructor settings. The header checks run in this
+    order: magic, kind tag is ASCII, version, known kind; the block checksum
+    is checked last.
     """
-    from . import kmeans, lstm_ae, ocsvm  # deferred: those modules import this one
-
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER_LEN or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise CorruptModelFileError(f"{path}: not a model file")
@@ -223,7 +218,7 @@ def restore(path) -> Detector:
     (version,) = struct.unpack_from("<I", raw, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
         raise VersionMismatchError(f"{path}: model version {version}, supported {MODEL_VERSION}")
-    types = {cls.kind: cls for cls in (kmeans.KMeansDetector, ocsvm.OcSvmDetector, lstm_ae.LstmAeDetector)}
+    types = {cls.kind: cls for cls in Detector.__subclasses__()}
     if kind not in types:
         raise CorruptModelFileError(f"{path}: unknown detector kind {kind!r}")
     blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], path, raw[:_HEADER_LEN])

@@ -95,10 +95,6 @@ class MelSpectrogram:
     def n_mels(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class FrameTensor:
@@ -191,6 +187,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(
     sample_rate: int,
     n_fft: int,
@@ -201,7 +198,8 @@ def mel_filterbank(
     """Read-only float64 weights [n_mels x n_fft//2+1] of triangular filters with peaks equally spaced on the Mel scale.
 
     Each triangle is scaled by 2 / (f_right - f_left) so filters integrate
-    to the same area regardless of bandwidth.
+    to the same area regardless of bandwidth. One array is kept per
+    parameter set and returned to every call that repeats it.
     """
     if fmax is None:
         fmax = sample_rate / 2.0
@@ -222,12 +220,6 @@ def mel_filterbank(
     weights *= 2.0 / (right - left)
     weights.flags.writeable = False
     return weights
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax) -> np.ndarray:
-    """One read-only mel_filterbank per parameter set, reused by every clip_mel_db call."""
-    return mel_filterbank(sample_rate, n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
 
 
 def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: np.ndarray) -> MelSpectrogram:
@@ -251,8 +243,8 @@ def _blocked_mel_power(clip: AudioClip, n_fft: int, hop_length: int, fb: np.ndar
 
 
 def clip_mel_db(clip: AudioClip, n_fft: int, hop_length: int, n_mels: int, fmin: float, fmax) -> MelSpectrogram:
-    """power_to_db of the clip's Mel power (_blocked_mel_power) from the shared filterbank."""
-    fb = _shared_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
+    """power_to_db of the clip's Mel power (_blocked_mel_power) from the cached filterbank."""
+    fb = mel_filterbank(clip.sample_rate, n_fft, n_mels, fmin, fmax)
     return power_to_db(_blocked_mel_power(clip, n_fft, hop_length, fb))
 
 

@@ -13,13 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .detector_api import (
-    KIND_KMEANS,
-    AnomalyScoreSeries,
-    Detector,
-    _sq_distances,
-    check_dim,
-)
+from .detector_api import AnomalyScoreSeries, Detector, _sq_distances, check_dim
 from .errors import DegenerateDataWarning, TooFewSamplesError
 
 
@@ -130,7 +124,7 @@ def kmeans_score(model: KMeansModel, X) -> AnomalyScoreSeries:
 class KMeansDetector(Detector):
     """K-Means on standardized frame rows."""
 
-    kind = KIND_KMEANS
+    kind = "kmeans"
     model_type = KMeansModel
     vectorized = True
 

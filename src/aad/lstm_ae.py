@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .detector_api import KIND_LSTM_AE, AnomalyScoreSeries, Detector
+from .detector_api import AnomalyScoreSeries, Detector
 from .errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
 from .features import FrameTensor
 
@@ -296,7 +296,7 @@ def lstm_ae_score(model: LstmAeModel, frames) -> AnomalyScoreSeries:
 class LstmAeDetector(Detector):
     """Frames in, reconstruction-error scores out; no vectorizer."""
 
-    kind = KIND_LSTM_AE
+    kind = "lstmae"
     model_type = LstmAeModel
 
     def __init__(self, hidden: int = 64, epochs: int = 30, batch: int = 64,

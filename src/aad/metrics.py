@@ -22,10 +22,6 @@ class ConfusionMatrix:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class EvalReport:

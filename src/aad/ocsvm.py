@@ -19,13 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .detector_api import (
-    KIND_OCSVM,
-    AnomalyScoreSeries,
-    Detector,
-    _sq_distances,
-    check_dim,
-)
+from .detector_api import AnomalyScoreSeries, Detector, _sq_distances, check_dim
 from .errors import InfeasibleNuError, NonConvergenceWarning, TooFewSamplesError
 
 
@@ -207,7 +201,7 @@ def ocsvm_score(model: OcSvmModel, X) -> AnomalyScoreSeries:
 class OcSvmDetector(Detector):
     """The SMO core on standardized frame rows."""
 
-    kind = KIND_OCSVM
+    kind = "ocsvm"
     model_type = OcSvmModel
     vectorized = True
 

@@ -146,6 +146,17 @@ class TestSynth:
         assert "synth: 1.0 s at 1.0/min yields < 1 expected knock" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("sizes, code", [
+        (["--normal-s", "0.3", "--anomalous-s", "0.3"], 2),
+        (["--mode", "rare", "--normal-s", "20"], 3),
+    ], ids=["knocks-under-1s", "rare-transient-longer-than-test"])
+    def test_failed_synth_leaves_no_directory(self, tmp_path, capsys, sizes, code):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), *sizes]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: synth: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBenchReport:
     def test_report_rows_complete(self, tiny_bench):
@@ -413,6 +424,36 @@ class TestCorruptInputs:
         assert f"bad.{kind}:2:" in capsys.readouterr().err
 
 
+class TestLabelsParsedBeforeAnyArchive:
+    @pytest.mark.parametrize("content, code", [(b"0.5\t1.0\tknock\nx\t2.0\tknock\n", 3), (None, 2)],
+                             ids=["malformed", "missing"])
+    def test_features_writes_nothing(self, tiny_dataset, tmp_path, capsys, content, code):
+        labels = tmp_path / "bad.labels"
+        if content is not None:
+            labels.write_bytes(content)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["features", "--wav", str(tiny_dataset / "test.wav"), "--labels", str(labels), "--out", str(out)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: features: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bench_writes_no_archive(self, tiny_dataset, tmp_path, capsys):
+        """The malformed labels file belongs to the last split bench featurizes."""
+        (tmp_path / "bad.labels").write_text("0.5\t1.0\tknock\n2.0\t1.5\tknock\n")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{tiny_dataset / 'train.wav'}\ttrain\n{tiny_dataset / 'val.wav'}\tval\n"
+                            f"{tiny_dataset / 'calib.wav'}\tcalib\t{tiny_dataset / 'calib.labels'}\n"
+                            f"{tiny_dataset / 'test.wav'}\ttest\tbad.labels\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["bench", "--manifest", str(manifest), "--out", str(out), "--config", str(tiny_dataset / "fast.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: features: {tmp_path / 'bad.labels'}:2: ")
+        assert not [p.name for p in out.iterdir() if p.suffix in (".frames", ".framelabels")]
+
+
 class TestDetectorTable:
     def test_kinds_in_one_order(self, tiny_bench):
         parser = build_parser()
@@ -669,6 +710,23 @@ class TestFlagsThatLoadNoConfig:
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag} {value}" in err
         assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+
+class TestSeedOnlyWhereRead:
+    @pytest.mark.parametrize("command", ["features", "inspect", "calibrate"])
+    def test_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        argv = {
+            "features": ["features", "--wav", "w.wav", "--out", str(tmp_path / "f")],
+            "inspect": ["inspect", "--wav", "w.wav", "--out", str(tmp_path / "i")],
+            "calibrate": ["calibrate", "--model", "m", "--val-frames", "v", "--out", str(tmp_path / "c")],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
 

@@ -6,16 +6,7 @@ import pytest
 from aad.audio_io import load_wav
 from aad.cli import main
 from aad.config import load_config, load_manifest
-from aad.detector_api import (
-    KIND_KMEANS,
-    KIND_LSTM_AE,
-    KIND_OCSVM,
-    MODEL_VERSION,
-    Vectorizer,
-    _sq_distances,
-    persist,
-    restore,
-)
+from aad.detector_api import MODEL_VERSION, Vectorizer, _sq_distances, persist, restore
 from aad.errors import CorruptModelFileError, PipelineError, StandardizerMissingError, VersionMismatchError
 from aad.features import load_frames, save_frames
 from aad.kmeans import KMeansDetector
@@ -143,13 +134,13 @@ class TestPersistence:
             assert loaded.train_time_s == det.train_time_s
             pairs[det.kind] = (det.model, loaded.model)
         # solver diagnostics survive the round trip, not only the scoring parameters
-        original, loaded = pairs[KIND_KMEANS]
+        original, loaded = pairs[KMeansDetector.kind]
         assert len(original.inertia_history) > 1
         assert loaded.inertia_history == original.inertia_history
-        original, loaded = pairs[KIND_LSTM_AE]
+        original, loaded = pairs[LstmAeDetector.kind]
         assert len(original.loss_history) == 3
         assert loaded.loss_history == original.loss_history
-        original, loaded = pairs[KIND_OCSVM]
+        original, loaded = pairs[OcSvmDetector.kind]
         assert loaded.extra["objective"] == original.extra["objective"]
 
     def test_header_readable_without_parameters(self, tmp_path):
@@ -159,7 +150,7 @@ class TestPersistence:
         path = tmp_path / "m.model"
         det.persist(path)
         loaded = restore(path)
-        assert loaded.kind == KIND_KMEANS
+        assert loaded.kind == KMeansDetector.kind
         assert path.read_bytes()[8:12] == MODEL_VERSION.to_bytes(4, "little")
         assert loaded.config_digest == bytes(range(32))
 
@@ -212,14 +203,14 @@ class TestPersistence:
 
     def test_kind_tags(self, tmp_path):
         train = random_frames(num_frames=30, n_mels=4, frame_size=4, seed=13)
-        for det, kind in zip(_fitted_detectors(train), (KIND_KMEANS, KIND_OCSVM, KIND_LSTM_AE)):
-            path = tmp_path / f"{kind}.model"
+        for det in _fitted_detectors(train):
+            path = tmp_path / f"{det.kind}.model"
             det.persist(path)
-            assert restore(path).kind == kind
+            assert type(restore(path)) is type(det)
 
 
 each_kind = pytest.mark.parametrize("detector_type", [KMeansDetector, OcSvmDetector, LstmAeDetector],
-                                    ids=[KIND_KMEANS, KIND_OCSVM, KIND_LSTM_AE])
+                                    ids=lambda detector_type: detector_type.kind)
 
 
 class TestDetectorContract:
@@ -239,7 +230,7 @@ class TestDetectorContract:
         for det in _fitted_detectors(train):
             det.persist(tmp_path / f"{det.kind}.model")
             loaded = restore(tmp_path / f"{det.kind}.model")
-            if det.kind == KIND_LSTM_AE:
+            if det.kind == LstmAeDetector.kind:
                 assert loaded.vectorizer is None
                 continue
             assert np.array_equal(loaded.vectorizer.mean, det.vectorizer.mean)
@@ -293,7 +284,7 @@ def tiny_synth(tmp_path_factory):
 
 
 class TestCorruptionFuzz:
-    @pytest.mark.parametrize("artifact", [KIND_KMEANS, KIND_OCSVM, KIND_LSTM_AE, "frames"])
+    @pytest.mark.parametrize("artifact", [KMeansDetector.kind, OcSvmDetector.kind, LstmAeDetector.kind, "frames"])
     def test_every_mutation_is_a_pipeline_error(self, tmp_path, artifact):
         """Seeded truncations and 1-3 byte XOR flips; none may load."""
         train = random_frames(num_frames=30, n_mels=4, frame_size=4, seed=17)

@@ -139,6 +139,11 @@ class TestMelFilterbank:
         assert fb.dtype == np.float64 and fb.shape == (32, 513)
         assert not fb.flags.writeable
 
+    def test_a_repeated_call_returns_the_same_read_only_array(self):
+        fb = F.mel_filterbank(16000, 512, n_mels=24, fmax=6000.0)
+        assert F.mel_filterbank(16000, 512, n_mels=24, fmax=6000.0) is fb
+        assert not fb.flags.writeable
+
     def test_invalid_range(self):
         with pytest.raises(InvalidBandRangeError):
             F.mel_filterbank(16000, 1024, n_mels=16, fmin=5000.0, fmax=4000.0)
@@ -165,7 +170,7 @@ class TestMelPower:
         mel = F._blocked_mel_power(clip, 256, 128, fb)
         power = np.abs(F.stft(clip, n_fft=256, hop_length=128).values) ** 2
         for m in range(12):
-            for n in range(0, mel.n_cols, 7):
+            for n in range(0, mel.values.shape[1], 7):
                 oracle = sum(fb[m, k] * power[k, n] for k in range(129))
                 assert mel.values[m, n] == pytest.approx(oracle, rel=1e-10, abs=1e-300)
 
@@ -369,7 +374,7 @@ class TestPipeline:
         clip = rms_normalize(make_clip(x), 0.1).clip
         fb = F.mel_filterbank(16000, 1024)
         whole = whole_mel_power(clip, fb)
-        assert whole.n_cols == n_cols
+        assert whole.values.shape[1] == n_cols
         assert np.array_equal(F._blocked_mel_power(clip, 1024, 512, fb).values, whole.values)
         want = F.minmax_normalize(F.power_to_db(whole)).values.astype(np.float32)
         assert np.array_equal(F.frame_pipeline(make_clip(x)).parts[0], want)

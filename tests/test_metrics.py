@@ -41,7 +41,7 @@ class TestConfusion:
             assert cm.fp == sum(1 for a, b in zip(y, p) if a == 0 and b == 1)
             assert cm.tn == sum(1 for a, b in zip(y, p) if a == 0 and b == 0)
             assert cm.fn == sum(1 for a, b in zip(y, p) if a == 1 and b == 0)
-            assert cm.total == 50
+            assert cm.tp + cm.fp + cm.tn + cm.fn == 50
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
