@@ -59,14 +59,14 @@ def percentile(values, p: float) -> float:
     return float(s[lo] + frac * (s[hi] - s[lo]))
 
 
-def sweep_thresholds(scores, grid=DEFAULT_GRID) -> list[ThresholdCandidate]:
-    """One candidate per grid percentile of the validation scores."""
+def sweep_thresholds(scores) -> list[ThresholdCandidate]:
+    """One candidate per DEFAULT_GRID percentile of the validation scores."""
     s = np.asarray(scores, dtype=float).ravel()
     if s.size == 0:
         raise EmptyInputError("cannot sweep thresholds over empty scores")
     return [
         ThresholdCandidate(percentile=float(p), threshold=percentile(s, float(p)))
-        for p in sorted(grid)
+        for p in DEFAULT_GRID
     ]
 
 

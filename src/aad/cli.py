@@ -223,6 +223,7 @@ def write_features(wav, intervals, out, cfg: RunConfig) -> tuple[Path, feat.Fram
         denoise_percentile=cfg.denoise_percentile, denoise_margin_db=cfg.denoise_margin_db,
     )
     path = Path(out) / f"{stem}.frames"
+    path.parent.mkdir(parents=True, exist_ok=True)
     feat.save_frames(frames, path)
     vector = None
     if intervals is not None:
@@ -274,7 +275,6 @@ def cmd_features(args) -> int:
     cfg = _load_run_config(args)
     with _stage("features"):
         intervals = read_intervals(args.labels) if args.labels else None
-        Path(args.out).mkdir(parents=True, exist_ok=True)
         path, frames, _ = write_features(args.wav, intervals, args.out, cfg)
     print(f"wrote {path} ({frames.num_frames} frames)")
     return 0
@@ -334,11 +334,11 @@ def cmd_eval(args) -> int:
 def write_inspect(wav, out, cfg: RunConfig) -> None:
     """Write the Mel dB, MFCC and FFT amplitude matrices of one wav into <out>."""
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     clip = load_wav(wav)
     mel_db = feat.clip_mel_db(clip, cfg.n_fft, cfg.hop_length, cfg.n_mels, cfg.fmin, cfg.fmax)
     coeffs = feat.mfcc(mel_db, n_mfcc=min(13, cfg.n_mels))
     freqs, amps = feat.fft_amplitude_spectrum(clip)
+    out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "mel_db.tsv", "mel_db", mel_db.values)
     write_matrix(out / "mfcc.tsv", "mfcc", coeffs)
     write_matrix(out / "fft_amplitude.tsv", "fft_amplitude", np.vstack([freqs, amps]))
@@ -414,7 +414,6 @@ def _format_report_table(rows: list[EvalReport]) -> str:
 def cmd_bench(args) -> int:
     cfg = _load_run_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     by_split = _split_records(load_manifest(args.manifest))
     detectors = {}
     for kind, build in DETECTORS.items():  # a constructor checks its settings: fail before any archive

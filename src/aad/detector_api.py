@@ -102,7 +102,8 @@ class Detector:
     """Fit on normal frames, then score every frame: one contract for every kind.
 
     Each kind declares its `kind` tag, its `model_type` dataclass and whether
-    it is `vectorized` (consumes standardized rows), and supplies two hooks:
+    it is `vectorized` (consumes standardized rows); its constructor checks
+    its `settings`, keyed by the model fields that record them. Two hooks:
     `_fit(inputs)` returns the fitted model, `_score(inputs)` scores with
     `self.model`. A vectorized kind's hooks get its `vectorizer`'s rows
     (fitted by fit(), reused by score()); the others get the frames. persist()
@@ -113,7 +114,8 @@ class Detector:
     model_type: type | None = None
     vectorized: bool = False
 
-    def __init__(self):
+    def __init__(self, **settings):
+        self.settings = settings
         self.config_digest: bytes = b"\x00" * 32
         self.train_time_s: float = 0.0
         self.model = None
@@ -201,12 +203,10 @@ def restore(path) -> Detector:
 
     The header's kind tag picks the Detector subclass whose `kind` it is
     (importing aad imports every kind); that class's `model_type` rebuilds
-    the model from the blocks, and a vectorized class gets its vectorizer's
-    statistics back. Constructor settings that only _fit() reads (k, nu,
-    hidden) keep their class defaults; solver tolerances are module
-    constants, not constructor settings. The header checks run in this
-    order: magic, kind tag is ASCII, version, known kind; the block checksum
-    is checked last.
+    the model from the blocks, its settings are refilled from the model's
+    fields, and a vectorized class gets its vectorizer's statistics back.
+    The header checks run in this order: magic, kind tag is ASCII, version,
+    known kind; the block checksum is checked last.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER_LEN or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -224,6 +224,7 @@ def restore(path) -> Detector:
     blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], path, raw[:_HEADER_LEN])
     detector = types[kind]()
     detector.model = _model_from_blocks(detector.model_type, blocks, path)
+    detector.settings = {key: getattr(detector.model, key) for key in detector.settings}
     detector.train_time_s = float(block(blocks, "train_time_s", path, ndim=0))
     detector.config_digest = raw[len(MODEL_MAGIC) + 12 : _HEADER_LEN]
     if detector.vectorized:

@@ -91,10 +91,6 @@ class MelSpectrogram:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class FrameTensor:
@@ -289,7 +285,7 @@ def mfcc(mel_db: MelSpectrogram, n_mfcc: int = 13) -> np.ndarray:
     """
     if mel_db.stage != "db":
         raise ValueError(f"mfcc expects the db stage, got {mel_db.stage!r}")
-    n_mels = mel_db.n_mels
+    n_mels = mel_db.values.shape[0]
     if n_mfcc > n_mels:
         raise TooManyCoefficientsError(f"n_mfcc {n_mfcc} > n_mels {n_mels}")
     k = np.arange(n_mfcc)[:, None]

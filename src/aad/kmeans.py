@@ -129,13 +129,11 @@ class KMeansDetector(Detector):
     vectorized = True
 
     def __init__(self, k: int = 8, seed: int = 0):
-        super().__init__()
         _check_k(k)
-        self.k = k
-        self.seed = seed
+        super().__init__(k=k, seed=seed)
 
     def _fit(self, rows) -> KMeansModel:
-        return kmeans_fit(rows, k=self.k, seed=self.seed)
+        return kmeans_fit(rows, **self.settings)
 
     def _score(self, rows) -> AnomalyScoreSeries:
         return kmeans_score(self.model, rows)

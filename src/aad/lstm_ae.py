@@ -301,18 +301,14 @@ class LstmAeDetector(Detector):
 
     def __init__(self, hidden: int = 64, epochs: int = 30, batch: int = 64,
                  lr: float = 1e-3, seed: int = 0):
-        super().__init__()
         _check_settings(hidden, epochs, batch, lr)
-        self.hidden = hidden
-        self.epochs = epochs
-        self.batch = batch
-        self.lr = lr
-        self.seed = seed
+        super().__init__(hidden=hidden, epochs=epochs, batch_size=batch, learning_rate=lr, seed=seed)
 
     def _fit(self, frames) -> LstmAeModel:
-        init = lstm_ae_init(n_mels=frames.n_mels, hidden=self.hidden, seed=self.seed)
+        s = self.settings
+        init = lstm_ae_init(n_mels=frames.n_mels, hidden=s["hidden"], seed=s["seed"])
         init = replace(init, **{name: p.astype(np.float32) for name, p in init.params().items()})
-        return lstm_ae_train(init, frames, epochs=self.epochs, batch=self.batch, lr=self.lr, seed=self.seed)
+        return lstm_ae_train(init, frames, epochs=s["epochs"], batch=s["batch_size"], lr=s["learning_rate"], seed=s["seed"])
 
     def _score(self, frames) -> AnomalyScoreSeries:
         return lstm_ae_score(self.model, frames)

@@ -73,14 +73,14 @@ def rbf_kernel_block(A: np.ndarray, B: np.ndarray, gamma: float, a_sq=None, b_sq
 KERNEL_ROW_BYTES = 64 * 2**20
 _DECISION_BLOCK = 2048  # rows per [block x n_sv] kernel block when scoring
 _TOL = 1e-3  # default stopping tolerance on the KKT gap, LIBSVM's default
+_MAX_PASSES = 50  # SMO makes at most _MAX_PASSES * n pair updates
 
 
-def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: int = 50) -> OcSvmModel:
+def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL) -> OcSvmModel:
     """SMO over maximal-violating pairs until the KKT gap drops below tol.
 
-    max_passes bounds the pair updates at max_passes * n; hitting the budget
-    returns the current model with a NonConvergenceWarning and the final
-    violation recorded.
+    Hitting the _MAX_PASSES * n update budget returns the current model with
+    a NonConvergenceWarning and the final violation recorded.
     """
     rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
@@ -124,7 +124,7 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL, max_passes: 
     nz = np.flatnonzero(alpha > 0)
     grad = rbf_kernel_block(r32[nz], r32, g, a_sq=sq_norms[nz], b_sq=sq_norms).T @ alpha[nz]
 
-    max_iter = max_passes * n
+    max_iter = _MAX_PASSES * n
     iterations = 0
     violation = np.inf
     while iterations < max_iter:
@@ -206,13 +206,11 @@ class OcSvmDetector(Detector):
     vectorized = True
 
     def __init__(self, nu: float = 0.1, gamma="scale"):
-        super().__init__()
         _check_settings(nu, gamma)
-        self.nu = nu
-        self.gamma = gamma
+        super().__init__(nu=nu, gamma=gamma)
 
     def _fit(self, rows) -> OcSvmModel:
-        return ocsvm_fit(rows, nu=self.nu, gamma=self.gamma)
+        return ocsvm_fit(rows, **self.settings)
 
     def _score(self, rows) -> AnomalyScoreSeries:
         return ocsvm_score(self.model, rows)

@@ -38,7 +38,7 @@ class AnomalyInterval:
     kind: str = "knock"
 
     def __post_init__(self):
-        if not 0.0 <= self.start_s < self.end_s:
+        if not 0.0 <= self.start_s < self.end_s < np.inf:
             raise ValueError(f"bad interval [{self.start_s}, {self.end_s})")
 
 
@@ -272,6 +272,6 @@ def read_intervals(path) -> tuple[AnomalyInterval, ...]:
             out.append(AnomalyInterval(start_s=float(start), end_s=float(end), kind=kind))
         except ValueError as exc:
             raise IoFailureError(
-                f"{path}:{lineno}: expected 'start<TAB>end<TAB>kind', 0 <= start < end: {exc}"
+                f"{path}:{lineno}: expected 'start<TAB>end<TAB>kind', 0 <= start < end < inf: {exc}"
             ) from exc
     return tuple(out)

@@ -50,9 +50,10 @@ class TestSweepThresholds:
         assert all(c.threshold == 3.5 for c in cands)
 
     def test_grid_endpoints_on_1_to_100(self):
-        cands = sweep_thresholds(np.arange(1, 101, dtype=float), grid=(5, 95))
+        cands = sweep_thresholds(np.arange(1, 101, dtype=float))
+        assert (cands[0].percentile, cands[-1].percentile) == (5.0, 95.0)
         assert cands[0].threshold == pytest.approx(5.95, abs=1e-12)
-        assert cands[1].threshold == pytest.approx(95.05, abs=1e-12)
+        assert cands[-1].threshold == pytest.approx(95.05, abs=1e-12)
 
     def test_monotone_in_percentile(self, rng):
         for _ in range(20):

@@ -425,8 +425,9 @@ class TestCorruptInputs:
 
 
 class TestLabelsParsedBeforeAnyArchive:
-    @pytest.mark.parametrize("content, code", [(b"0.5\t1.0\tknock\nx\t2.0\tknock\n", 3), (None, 2)],
-                             ids=["malformed", "missing"])
+    @pytest.mark.parametrize("content, code", [(b"0.5\t1.0\tknock\nx\t2.0\tknock\n", 3), (None, 2),
+                                               (b"0.5\tinf\tknock\n", 3)],  # inf would label every later frame
+                             ids=["malformed", "missing", "infinite-end"])
     def test_features_writes_nothing(self, tiny_dataset, tmp_path, capsys, content, code):
         labels = tmp_path / "bad.labels"
         if content is not None:
@@ -437,6 +438,7 @@ class TestLabelsParsedBeforeAnyArchive:
         assert rc == code
         err = capsys.readouterr().err
         assert err.startswith("error: features: ") and "Traceback" not in err
+        assert content is None or re.match(rf"error: features: {re.escape(str(labels))}:\d+: ", err)
         assert not out.exists()
 
     def test_bench_writes_no_archive(self, tiny_dataset, tmp_path, capsys):
@@ -451,7 +453,32 @@ class TestLabelsParsedBeforeAnyArchive:
         rc = main(["bench", "--manifest", str(manifest), "--out", str(out), "--config", str(tiny_dataset / "fast.txt")])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: features: {tmp_path / 'bad.labels'}:2: ")
-        assert not [p.name for p in out.iterdir() if p.suffix in (".frames", ".framelabels")]
+        assert not out.exists()
+
+
+class TestFailedStageLeavesNoDirectory:
+    """--out is made where the first file is written, so a refused setting or manifest leaves none."""
+
+    @pytest.mark.parametrize("command, stage", [("features", "features"), ("inspect", "inspect"), ("bench", "features")])
+    def test_n_fft_not_a_power_of_two(self, tiny_dataset, tmp_path, capsys, command, stage):
+        (tmp_path / "bad.cfg").write_text("n_fft = 1000\n")
+        source = ["--manifest", str(tiny_dataset / "manifest.tsv")] if command == "bench" else ["--wav", str(tiny_dataset / "val.wav")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *source, "--config", str(tmp_path / "bad.cfg"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bench_manifest_error(self, tiny_dataset, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{tiny_dataset / 'train.wav'}\ttrain\n{tiny_dataset / 'val.wav'}\tval\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["bench", "--manifest", str(manifest), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest has no test records" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDetectorTable:
@@ -469,10 +496,9 @@ class TestDetectorTable:
                         lstm_batch=9, lstm_lr=0.002, seed=11)
         built = {kind: build(cfg) for kind, build in DETECTORS.items()}
         assert all(det.kind == kind for kind, det in built.items())
-        assert (built["kmeans"].k, built["kmeans"].seed) == (5, 11)
-        assert (built["ocsvm"].nu, built["ocsvm"].gamma) == (0.3, 0.25)
-        lstm = built["lstmae"]
-        assert (lstm.hidden, lstm.epochs, lstm.batch, lstm.lr, lstm.seed) == (7, 4, 9, 0.002, 11)
+        assert built["kmeans"].settings == {"k": 5, "seed": 11}
+        assert built["ocsvm"].settings == {"nu": 0.3, "gamma": 0.25}
+        assert built["lstmae"].settings == {"hidden": 7, "epochs": 4, "batch_size": 9, "learning_rate": 0.002, "seed": 11}
 
 
 class TestThresholdAndLabelSources:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -236,6 +237,25 @@ class TestDetectorContract:
             assert np.array_equal(loaded.vectorizer.mean, det.vectorizer.mean)
             assert np.array_equal(loaded.vectorizer.std, det.vectorizer.std)
             assert loaded.vectorizer.frame_shape == det.vectorizer.frame_shape == (4, 4)
+
+    @each_kind
+    def test_restore_refits_with_the_persisted_settings(self, tmp_path, detector_type):
+        """Non-default settings come back from the model file; OC-SVM's gamma as the resolved value."""
+        settings = {KMeansDetector: {"k": 3, "seed": 5}, OcSvmDetector: {"nu": 0.5},
+                    LstmAeDetector: {"hidden": 4, "epochs": 2, "batch": 8, "lr": 0.01, "seed": 3}}[detector_type]
+        train = random_frames(num_frames=30, n_mels=4, frame_size=4, seed=19)
+        det = detector_type(**settings).fit(train)
+        det.persist(tmp_path / "m.model")
+        loaded = restore(tmp_path / "m.model")
+        expected = dict(det.settings, gamma=det.model.gamma) if detector_type is OcSvmDetector else det.settings
+        assert loaded.settings == expected
+        refit = loaded.fit(train).model
+        for field in dataclasses.fields(det.model):
+            built, again = getattr(det.model, field.name), getattr(refit, field.name)
+            if isinstance(built, np.ndarray):
+                assert (built.dtype, built.shape, built.tobytes()) == (again.dtype, again.shape, again.tobytes())
+            else:
+                assert built == again, field.name
 
     @pytest.mark.parametrize("detector_type, settings, message", [
         (KMeansDetector, {"k": 0}, "k must be >= 1, got 0"),

@@ -102,10 +102,11 @@ class TestFit:
         with pytest.raises(InfeasibleNuError):
             ocsvm_fit(np.random.default_rng(0).standard_normal((5, 2)), nu=0.1)
 
-    def test_nonconvergence_warns_and_records_violation(self):
+    def test_nonconvergence_warns_and_records_violation(self, monkeypatch):
         rows = np.random.default_rng(1).standard_normal((100, 2))
+        monkeypatch.setattr(ocsvm, "_MAX_PASSES", 1)
         with pytest.warns(NonConvergenceWarning):
-            model = ocsvm_fit(rows, nu=0.3, gamma=2.0, tol=1e-12, max_passes=1)
+            model = ocsvm_fit(rows, nu=0.3, gamma=2.0, tol=1e-12)
         assert not model.converged
         assert model.kkt_violation > 1e-12
 
