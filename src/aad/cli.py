@@ -38,6 +38,7 @@ from .ocsvm import OcSvmDetector
 from .synthgen import frame_labels, gen_normal, inject_knocks, inject_transient, read_intervals, write_intervals
 
 SAMPLE_RATE = 16000
+_MATRIX_BLOCK = 4096  # values per write in write_matrix
 
 # kind -> builder of that detector from its run settings; bench runs the kinds in this order
 DETECTORS = {
@@ -98,9 +99,20 @@ def read_vector(path, parse=_parse_float) -> np.ndarray:
 
 
 def write_matrix(path, name: str, matrix) -> None:
+    """np.savetxt's bytes, formatted _MATRIX_BLOCK values at a time: no whole row is ever one string.
+
+    One string per row held about 17 MB of text and float objects at once for a
+    2 x 240001 FFT amplitude matrix, and a process that benches repeatedly kept
+    the heap that left behind resident.
+    """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    np.savetxt(path, m, fmt="%.17g", delimiter="\t",
-               header=f"{name} {m.shape[0]} {m.shape[1]}", comments="# ")
+    with open(path, "w") as fh:
+        fh.write(f"# {name} {m.shape[0]} {m.shape[1]}\n")
+        for row in m:
+            for a in range(0, row.size, _MATRIX_BLOCK):
+                values = row[a : a + _MATRIX_BLOCK].tolist()
+                fh.write(("\t" if a else "") + "\t".join(["%.17g"] * len(values)) % tuple(values))
+            fh.write("\n")
 
 
 def write_calibration_report(path, mode: str, threshold: float, percentile: float,
@@ -138,17 +150,39 @@ def _slice_clip(clip: AudioClip, start_s: float, end_s: float) -> AudioClip:
     return AudioClip(samples=clip.samples[a:b], sample_rate=clip.sample_rate)
 
 
+# per --mode, the size flags it reads and their defaults; a flag of the other mode is a usage error
+SYNTH_SIZES = {
+    "knocks": {"normal_s": 780.0, "anomalous_s": 210.0, "rate": 12.0, "train_frac": 0.875, "calib_frac": 0.5},
+    "rare": {"normal_s": 1200.0, "transient_s": 5.0},
+}
+
+
+def _synth_sizes(args) -> dict:
+    """The sizes args.mode reads, defaults filled in; each must be > 0 and finite, a fraction < 1."""
+    own = SYNTH_SIZES[args.mode]
+    stray = [f"--{dest.replace('_', '-')}" for sizes in SYNTH_SIZES.values() for dest in sizes
+             if dest not in own and getattr(args, dest) is not None]
+    if stray:
+        raise ValueError(f"{', '.join(stray)}: not read by --mode {args.mode}")
+    resolved = {}
+    for dest, default in own.items():
+        value = getattr(args, dest)
+        value = resolved[dest] = default if value is None else value
+        upper = 1.0 if dest.endswith("_frac") else np.inf
+        if not 0.0 < value < upper:
+            bounds = "finite and > 0" if upper == np.inf else "in (0, 1)"
+            raise ValueError(f"--{dest.replace('_', '-')} must be {bounds}, got {value}")
+    return resolved
+
+
 def cmd_synth(args) -> int:
     """Generate one continuous machine recording and slice it into splits.
 
     All splits share the same acoustic signature; anomalies are injected
-    only into the calib/test slices. Bad numbers are rejected before any write.
+    only into the calib/test slices. Bad numbers, and size flags the mode
+    does not read, are rejected before any write.
     """
-    for dest, upper in (("normal_s", np.inf), ("anomalous_s", np.inf), ("transient_s", np.inf),
-                        ("rate", np.inf), ("train_frac", 1.0), ("calib_frac", 1.0)):
-        if (value := getattr(args, dest)) is not None and not 0.0 < value < upper:
-            bounds = "finite and > 0" if upper == np.inf else "in (0, 1)"
-            raise ValueError(f"--{dest.replace('_', '-')} must be {bounds}, got {value}")
+    sizes = _synth_sizes(args)
     cfg = _load_run_config(args)
     out = Path(args.out)
     seed = cfg.seed
@@ -157,28 +191,28 @@ def cmd_synth(args) -> int:
         _, hop_size = feat.default_framing(SAMPLE_RATE, cfg.hop_length, cfg.time_per_frame, cfg.hop_ratio)
         align_s = hop_size * cfg.hop_length / SAMPLE_RATE
 
+        normal_s = sizes["normal_s"]
         if args.mode == "knocks":
-            normal_s = args.normal_s if args.normal_s is not None else 780.0
-            anomalous_s = args.anomalous_s if args.anomalous_s is not None else 210.0
+            anomalous_s = sizes["anomalous_s"]
             total_s = normal_s + anomalous_s
-            train_s = normal_s * args.train_frac
-            calib_s = anomalous_s * args.calib_frac
+            train_s = normal_s * sizes["train_frac"]
+            calib_s = anomalous_s * sizes["calib_frac"]
             durations = {
                 "train": train_s, "val": normal_s - train_s, "calib": calib_s, "test": anomalous_s - calib_s,
             }
             injectors = {
-                "calib": lambda piece: inject_knocks(piece, args.rate, seed + 13, align_s=align_s),
-                "test": lambda piece: inject_knocks(piece, args.rate, seed + 14, align_s=align_s),
+                "calib": lambda piece: inject_knocks(piece, sizes["rate"], seed + 13, align_s=align_s),
+                "test": lambda piece: inject_knocks(piece, sizes["rate"], seed + 14, align_s=align_s),
             }
         else:  # rare
-            total_s = normal_s = args.normal_s if args.normal_s is not None else 1200.0
+            total_s = normal_s
             durations = {
                 "train": 0.7 * normal_s, "val": 0.1 * normal_s,
                 "calib": 0.1 * normal_s, "test": 0.1 * normal_s,
             }
             injectors = {
                 "test": lambda piece: inject_transient(
-                    piece, duration_s=args.transient_s, seed=seed + 14, align_s=align_s
+                    piece, duration_s=sizes["transient_s"], seed=seed + 14, align_s=align_s
                 ),
             }
 
@@ -483,17 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
     seeded(p)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("knocks", "rare"), default="knocks")
-    p.add_argument("--normal-s", type=float, default=None, dest="normal_s",
+    p.add_argument("--normal-s", type=float, dest="normal_s",
                    help="total normal audio seconds (default 780, rare: 1200)")
-    p.add_argument("--anomalous-s", type=float, default=None, dest="anomalous_s",
-                   help="total knock-injected seconds (default 210)")
-    p.add_argument("--rate", type=float, default=12.0, help="knocks per minute")
-    p.add_argument("--train-frac", type=float, default=0.875, dest="train_frac",
-                   help="fraction of normal audio used for train (rest is val)")
-    p.add_argument("--calib-frac", type=float, default=0.5, dest="calib_frac",
-                   help="fraction of anomalous audio used for calib (rest is test)")
-    p.add_argument("--transient-s", type=float, default=5.0, dest="transient_s",
-                   help="rare-mode transient duration")
+    p.add_argument("--anomalous-s", type=float, dest="anomalous_s",
+                   help="knocks only: total knock-injected seconds (default 210)")
+    p.add_argument("--rate", type=float, help="knocks only: knocks per minute (default 12)")
+    p.add_argument("--train-frac", type=float, dest="train_frac",
+                   help="knocks only: fraction of normal audio used for train, the rest is val (default 0.875)")
+    p.add_argument("--calib-frac", type=float, dest="calib_frac",
+                   help="knocks only: fraction of anomalous audio used for calib, the rest is test (default 0.5)")
+    p.add_argument("--transient-s", type=float, dest="transient_s",
+                   help="rare only: transient duration in seconds (default 5)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="wav -> frame archive")

@@ -87,22 +87,39 @@ def _usable_cpus() -> int:
 
 
 def _add_tones(x: np.ndarray, tones, a: int, sample_rate: int) -> None:
-    """Add every tone to the block of x at a: the whole-clip expressions, evaluated on its t."""
+    """Add every tone to the block of x at a: the whole-clip expressions, evaluated on its t.
+
+    Each tone's envelope is 1 + am_depth sin(2 pi am_freq t + am_phase), and each harmonic
+    adds (amp / harmonic) envelope sin(2 pi f0 harmonic t + phase), computed into three
+    block buffers. Only the operand order of a product or sum differs from those
+    expressions, which leaves every double unchanged.
+    """
     t = np.arange(a, min(a + _TONE_BLOCK, x.size)) / sample_rate
     block = x[a : a + t.size]
+    arg, envelope, wave = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     for f0, amp, am_freq, am_depth, am_phase, phases in tones:
-        envelope = 1.0 + am_depth * np.sin(2.0 * np.pi * am_freq * t + am_phase)
+        np.multiply(2.0 * np.pi * am_freq, t, out=arg)
+        arg += am_phase
+        np.sin(arg, out=envelope)
+        envelope *= am_depth
+        envelope += 1.0
         for harmonic, phase in enumerate(phases, start=1):
-            block += (amp / harmonic) * envelope * np.sin(2.0 * np.pi * f0 * harmonic * t + phase)
+            np.multiply(2.0 * np.pi * f0 * harmonic, t, out=arg)
+            arg += phase
+            np.sin(arg, out=wave)
+            np.multiply(envelope, amp / harmonic, out=arg)
+            wave *= arg
+            block += wave
 
 
 def gen_normal(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> AudioClip:
     """Machine-like background, peak-normalized to 0.5, energy below ~2 kHz.
 
-    Tones are computed in blocks over the usable CPUs while this thread low-pass filters the
-    noise (its large arrays stay on the main heap); the samples equal one full-length pass
-    bit for bit on any CPU count. The noise is held as the raw draw, then its spectrum, then
-    the filtered signal: next to the tone sum, at most two clip-sized arrays are alive.
+    The noise is low-pass filtered first, on this thread, and only then is the tone sum
+    allocated and computed in blocks over the usable CPUs: no tone array is resident while
+    the FFTs hold their input, output and scratch buffers, so the peak is about 4x the
+    clip's float64 size, not 5x. The samples equal one full-length pass bit for bit on any
+    CPU count: the tone parameters are still drawn before the noise.
     """
     if duration_s < 1.0:
         raise ValueError("duration must be at least 1 s")
@@ -118,11 +135,10 @@ def gen_normal(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> Au
         am_phase = rng.uniform(0.0, 2.0 * np.pi)
         phases = [rng.uniform(0.0, 2.0 * np.pi) for _harmonic in range(3)]
         tones.append((f0, amp, am_freq, am_depth, am_phase, phases))
+    noise = _lowpass(np.fft.rfft(rng.standard_normal(n)), n, sample_rate, LOWPASS_CUTOFF_HZ, _LOWPASS_ORDER)
     x = np.zeros(n)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        blocks = pool.map(lambda a: _add_tones(x, tones, a, sample_rate), range(0, n, _TONE_BLOCK))
-        noise = _lowpass(np.fft.rfft(rng.standard_normal(n)), n, sample_rate, LOWPASS_CUTOFF_HZ, _LOWPASS_ORDER)
-        list(blocks)
+        list(pool.map(lambda a: _add_tones(x, tones, a, sample_rate), range(0, n, _TONE_BLOCK)))
     noise *= 0.3 * np.sqrt(np.mean(x**2)) / max(np.sqrt(np.mean(noise**2)), 1e-30)
     x += noise
     del noise  # AudioClip's copy of x is the next full-length array

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from aad.calibration import DEFAULT_GRID
-from aad.cli import DETECTORS, build_parser, main, read_calibration_threshold, read_vector, write_matrix
+from aad.cli import _MATRIX_BLOCK, DETECTORS, build_parser, main, read_calibration_threshold, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
 from aad.detector_api import restore
 from aad.errors import ManifestError
@@ -138,6 +138,24 @@ class TestSynth:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("rare", "--train-frac", "0.5"), ("rare", "--calib-frac", "0.9"), ("rare", "--rate", "99"),
+        ("rare", "--anomalous-s", "7"), ("knocks", "--transient-s", "2"),
+    ])
+    def test_flag_the_mode_does_not_read_is_a_usage_error(self, tmp_path, capsys, mode, flag, value):
+        """Each mode reads its own size flags; a valid value for the other mode is refused, not ignored."""
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--mode", mode, "--normal-s", "60", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: not read by --mode {mode}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rare_transient_is_range_checked(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--mode", "rare", "--normal-s", "60", "--transient-s", "inf"]) == 2
+        assert "--transient-s must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_injector_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -763,6 +781,15 @@ class TestInspect:
         name, loaded = read_matrix(tmp_path / "m.tsv")
         assert name == "demo"
         assert np.array_equal(loaded, matrix)  # %.17g round-trips doubles
+
+    @pytest.mark.parametrize("shape", [(2, 2 * _MATRIX_BLOCK + 17), (3, _MATRIX_BLOCK), (1, 1), (5, 0)])
+    def test_matrix_bytes_equal_savetxt(self, tmp_path, rng, shape):
+        """Row text is written in blocks; the file is np.savetxt's, byte for byte."""
+        matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        write_matrix(tmp_path / "m.tsv", "demo", matrix)
+        np.savetxt(tmp_path / "ref.tsv", matrix, fmt="%.17g", delimiter="\t",
+                   header=f"demo {shape[0]} {shape[1]}", comments="# ")
+        assert (tmp_path / "m.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
     def test_normal_clip_energy_below_2khz_rows(self, tiny_dataset, tmp_path):
         assert main(["inspect", "--wav", str(tiny_dataset / "train.wav"),
