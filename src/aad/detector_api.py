@@ -8,6 +8,7 @@ decodes any parameter block; there is no separate header reader.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -177,7 +178,8 @@ def _model_from_blocks(model_type, blocks: dict, path):
 
     Array fields must be in the model type's array_dtype: a block in any other
     dtype (an LSTM-AE file with "<f8" parameters) is a CorruptModelFileError
-    naming the block, never cast.
+    naming the block, never cast. So are arrays whose shapes the model type
+    refuses (K-Means centroids that are not k rows).
     """
     hints = get_type_hints(model_type)
     values = {}
@@ -195,7 +197,10 @@ def _model_from_blocks(model_type, blocks: dict, path):
             values[f.name] = tuple(block(blocks, f.name, path, ndim=1).tolist())
         else:
             values[f.name] = hint(block(blocks, f.name, path, _SCALAR_DTYPES[hint], ndim=0))
-    return model_type(**values)
+    try:
+        return model_type(**values)
+    except ValueError as exc:  # the model type's own shape rule: arrays that disagree
+        raise CorruptModelFileError(f"{path}: {exc}") from exc
 
 
 def restore(path) -> Detector:
@@ -232,6 +237,9 @@ def restore(path) -> Detector:
         vectorizer.mean = block(blocks, "mean", path, ndim=1).copy()
         vectorizer.std = block(blocks, "std", path, ndim=1).copy()
         vectorizer.frame_shape = tuple(block(blocks, "frame_shape", path, "<i8", ndim=1).tolist())
+        if vectorizer.std.shape != vectorizer.mean.shape or math.prod(vectorizer.frame_shape) != vectorizer.mean.size:
+            raise CorruptModelFileError(f"{path}: blocks 'mean' {vectorizer.mean.shape}, 'std' {vectorizer.std.shape} "
+                                        f"and 'frame_shape' {vectorizer.frame_shape} disagree")
     return detector
 
 

@@ -1,8 +1,8 @@
 """K-Means on normal frames; anomaly score = distance to the nearest centroid.
 
 Fitting is k-means++ seeding followed by Lloyd iterations, fully determined
-by the seed. Empty clusters are re-seeded with the point farthest from its
-assigned centroid.
+by the seed. Each empty cluster, in cluster order, is re-seeded with the
+next point farthest from its assigned centroid.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ class KMeansModel:
     seed: int
     inertia_history: tuple[float, ...] = ()
     array_dtype: ClassVar[str] = "<f8"  # the array blocks' dtype in a model file
+
+    def __post_init__(self):
+        if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
+            raise ValueError(f"block 'centroids' is {self.centroids.shape}, k = {self.k} needs [{self.k} x d]")
 
 
 def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,16 +91,13 @@ def kmeans_fit(X, k: int = 8, seed: int = 0) -> KMeansModel:
         min_d2 = d2[np.arange(n), labels]
         history.append(float(min_d2.sum()))
 
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = labels == j
-            if np.any(members):
-                new_centroids[j] = rows[members].mean(axis=0)
-        empties = [j for j in range(k) if not np.any(labels == j)]
-        if empties:
-            order = np.argsort(min_d2)[::-1]
-            for slot, j in enumerate(empties):
-                new_centroids[j] = rows[order[slot]]
+        counts = np.bincount(labels, minlength=k)
+        new_centroids = np.empty_like(centroids)
+        for j in np.flatnonzero(counts):
+            new_centroids[j] = rows[labels == j].mean(axis=0)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            new_centroids[empties] = rows[np.argsort(min_d2)[::-1][: empties.size]]
 
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids

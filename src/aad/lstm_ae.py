@@ -53,6 +53,15 @@ class LstmAeModel:
     loss_history: tuple[float, ...] = ()
     array_dtype: ClassVar[str] = "<f4"  # the parameter blocks' dtype in a model file
 
+    def __post_init__(self):
+        h, m = self.hidden, self.input_dim
+        shapes = {"enc_W": (4 * h, m + h), "enc_b": (4 * h,), "dec_W": (4 * h, 2 * h),
+                  "dec_b": (4 * h,), "proj_W": (m, h), "proj_b": (m,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"block {name!r} is {getattr(self, name).shape}, hidden = {h} "
+                                 f"and input_dim = {m} need {shape}")
+
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
 

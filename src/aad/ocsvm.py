@@ -36,6 +36,11 @@ class OcSvmModel:
     extra: dict = field(default_factory=dict)
     array_dtype: ClassVar[str] = "<f8"  # the array blocks' dtype in a model file
 
+    def __post_init__(self):
+        if self.support_vectors.ndim != 2 or self.alphas.shape != self.support_vectors.shape[:1]:
+            raise ValueError(f"block 'alphas' is {self.alphas.shape}, 'support_vectors' "
+                             f"{self.support_vectors.shape} needs one alpha per [n_sv x d] row")
+
     @cached_property
     def sv_sq_norms(self) -> np.ndarray:
         """Support-vector row norms, computed on first use (replace() the model to change its SVs)."""

@@ -57,7 +57,7 @@ class LabeledClip:
             last_end = iv.end_s
 
 
-def _lowpass(spectrum: np.ndarray, n: int, sample_rate: int, cutoff_hz: float, order: int) -> np.ndarray:
+def _lowpass(spectrum: np.ndarray, n: int, sample_rate: int) -> np.ndarray:
     """FFT-domain low-pass with a Butterworth-shaped magnitude rolloff.
 
     A smooth rolloff (not a brick wall) keeps a small, varying energy floor
@@ -65,16 +65,16 @@ def _lowpass(spectrum: np.ndarray, n: int, sample_rate: int, cutoff_hz: float, o
     spectrum is the rfft of a length-n signal; the filter takes ownership of it,
     overwrites it with the filtered spectrum and returns the filtered signal.
     """
-    spectrum *= _lowpass_response(n, sample_rate, cutoff_hz, order)
+    spectrum *= _lowpass_response(n, sample_rate)
     return np.fft.irfft(spectrum, n=n)
 
 
-def _lowpass_response(n: int, sample_rate: int, cutoff_hz: float, order: int) -> np.ndarray:
-    """1 / sqrt(1 + (f / cutoff)^(2 order)) per rfft bin, 0 from SILENT_ABOVE_HZ up, built in one buffer."""
+def _lowpass_response(n: int, sample_rate: int) -> np.ndarray:
+    """1 / sqrt(1 + (f / LOWPASS_CUTOFF_HZ)^(2 * _LOWPASS_ORDER)) per rfft bin, 0 from SILENT_ABOVE_HZ up, built in one buffer."""
     response = np.fft.rfftfreq(n, d=1.0 / sample_rate)
     silent_from = np.searchsorted(response, SILENT_ABOVE_HZ)  # first bin at or above it
-    response /= cutoff_hz
-    response **= 2 * order
+    response /= LOWPASS_CUTOFF_HZ
+    response **= 2 * _LOWPASS_ORDER
     response += 1.0
     np.sqrt(response, out=response)
     np.divide(1.0, response, out=response)
@@ -135,7 +135,7 @@ def gen_normal(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> Au
         am_phase = rng.uniform(0.0, 2.0 * np.pi)
         phases = [rng.uniform(0.0, 2.0 * np.pi) for _harmonic in range(3)]
         tones.append((f0, amp, am_freq, am_depth, am_phase, phases))
-    noise = _lowpass(np.fft.rfft(rng.standard_normal(n)), n, sample_rate, LOWPASS_CUTOFF_HZ, _LOWPASS_ORDER)
+    noise = _lowpass(np.fft.rfft(rng.standard_normal(n)), n, sample_rate)
     x = np.zeros(n)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         list(pool.map(lambda a: _add_tones(x, tones, a, sample_rate), range(0, n, _TONE_BLOCK)))

@@ -356,6 +356,35 @@ class TestCorruptInputs:
         assert "missing block 'frame_shape'" in err
         assert not (tmp_path / "s.scores").exists()
 
+    @pytest.mark.parametrize("kind, name, edit, message", [
+        ("kmeans", "centroids", lambda a: a.reshape(-1), "block 'centroids' is ("),
+        ("ocsvm", "alphas", lambda a: a[:-1], "block 'alphas' is ("),
+        ("lstmae", "hidden", lambda a: a + 1, "block 'enc_W' is ("),
+        ("lstmae", "enc_b", lambda a: a[:5], "block 'enc_b' is (5,)"),
+        ("kmeans", "std", lambda a: a[:-1], "blocks 'mean' ("),
+        ("ocsvm", "frame_shape", lambda a: a + 1, "blocks 'mean' ("),
+    ], ids=["kmeans-1d-centroids", "ocsvm-short-alphas", "lstmae-hidden", "lstmae-enc_b",
+            "kmeans-short-std", "ocsvm-frame_shape"])
+    def test_mis_shaped_model_block_is_a_data_error(self, tiny_bench, tmp_path, capsys, kind, name, edit, message):
+        """Blocks of the right dtype whose shapes disagree, re-encoded under the real header."""
+        from aad.blocks import decode_blocks, encode_blocks
+        from aad.detector_api import _HEADER_LEN
+
+        raw = (tiny_bench / f"{kind}.model").read_bytes()
+        header = raw[:_HEADER_LEN]
+        blocks = decode_blocks(raw[_HEADER_LEN:], "model", header)
+        blocks[name] = edit(blocks[name])
+        model = tmp_path / "bad.model"
+        model.write_bytes(header + encode_blocks(blocks, header))
+        capsys.readouterr()
+        rc = main(["score", "--model", str(model),
+                   "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"error: score: {model}: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.scores").exists()
+
     def test_unknown_detector_kind_is_a_data_error(self, tiny_bench, tmp_path, capsys):
         model = tmp_path / "pca.model"
         model.write_bytes(with_kind_tag((tiny_bench / "kmeans.model").read_bytes(), b"pca"))

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +212,24 @@ class TestPersistence:
             path = tmp_path / f"{det.kind}.model"
             det.persist(path)
             assert type(restore(path)) is type(det)
+
+    def test_package_import_registers_every_kind(self, tmp_path):
+        """A fresh process that imports only restore still restores all three kinds.
+
+        restore() looks the kind up among Detector.__subclasses__(), so it relies on
+        the package root importing the kind modules; this process has imported them itself.
+        """
+        train = random_frames(num_frames=30, n_mels=4, frame_size=4, seed=13)
+        paths = []
+        for det in _fitted_detectors(train):
+            paths.append(str(tmp_path / f"{det.kind}.model"))
+            det.persist(paths[-1])
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys; from aad.detector_api import restore; print(*[restore(p).kind for p in sys.argv[1:]])"
+        out = subprocess.run([sys.executable, "-c", probe, *paths], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.split()
+        assert out == [KMeansDetector.kind, OcSvmDetector.kind, LstmAeDetector.kind]
 
 
 each_kind = pytest.mark.parametrize("detector_type", [KMeansDetector, OcSvmDetector, LstmAeDetector],

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from aad.detector_api import _sq_distances
 from aad.errors import DegenerateDataWarning, DimensionMismatchError, TooFewSamplesError
-from aad.kmeans import KMeansDetector, kmeans_fit, kmeans_pp_init, kmeans_score
+from aad.kmeans import _MAX_ITER, _TOL, KMeansDetector, kmeans_fit, kmeans_pp_init, kmeans_score
 
 from conftest import random_frames
 
@@ -27,6 +28,54 @@ def lloyd_oracle(rows, initial_centroids, max_iter=300, tol=1e-4):
             break
     d2 = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return centroids, d2.argmin(axis=1)
+
+
+def reseeding_reference(rows, k, seed):
+    """kmeans_fit's loop with its empty-cluster rule written one cluster and one point at a time.
+
+    Each empty cluster, in cluster order, takes the next point farthest from its
+    assigned centroid (equally far points in np.argsort's order, reversed). The
+    distances are _sq_distances's, so every result can match bit for bit.
+    Returns the centroids, inertia history, iterations run and re-seeding steps.
+    """
+    n = len(rows)
+    centroids = kmeans_pp_init(rows, k, np.random.default_rng(seed))
+    history, iterations, reseeding_steps = [], 0, 0
+    for _ in range(_MAX_ITER):
+        d2 = _sq_distances(rows, centroids)
+        labels = d2.argmin(axis=1)
+        min_d2 = d2[np.arange(n), labels]
+        history.append(float(min_d2.sum()))
+        farthest = iter(np.argsort(min_d2)[::-1])
+        new_centroids = centroids.copy()
+        reseeded = False
+        for j in range(k):
+            members = [i for i in range(n) if labels[i] == j]
+            if members:
+                new_centroids[j] = rows[members].mean(axis=0)
+            else:
+                new_centroids[j] = rows[next(farthest)]
+                reseeded = True
+        reseeding_steps += reseeded
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        iterations += 1
+        if shift < _TOL:
+            break
+    history.append(float(_sq_distances(rows, centroids).min(axis=1).sum()))
+    return centroids, tuple(history), iterations, reseeding_steps
+
+
+def duplicate_heavy(seed):
+    """Fewer distinct points than k, each repeated: k-means++ seeds duplicate centroids."""
+    g = np.random.default_rng(seed)
+    k = int(g.integers(3, 9))
+    distinct = g.standard_normal((int(g.integers(2, k)), int(g.integers(1, 5)))) * 4
+    rows = np.repeat(distinct, g.integers(1, 30, len(distinct)), axis=0)
+    if len(rows) < k:
+        rows = np.vstack([rows, np.repeat(rows[:1], k, axis=0)])
+    g.shuffle(rows)
+    return rows, k
 
 
 def blob_data(seed=4, per_blob=20):
@@ -103,6 +152,16 @@ class TestFit:
         model = kmeans_fit(rows, k=4, seed=3)
         assert model.centroids.shape == (4, 2)
         assert np.all(np.isfinite(model.centroids))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_empty_clusters_take_the_farthest_points_in_cluster_order(self, seed):
+        rows, k = duplicate_heavy(seed)
+        model = kmeans_fit(rows, k=k, seed=seed)
+        centroids, history, iterations, reseeding_steps = reseeding_reference(rows, k, seed)
+        assert reseeding_steps > 0
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.inertia_history == history
+        assert model.iterations_run == iterations
 
 
 class TestScore:
