@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeaderError, EmptyAudioError, SilentInputWarning, UnsupportedFormatError
+from .errors import PipelineError, SilentInputWarning
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -67,7 +67,7 @@ def load_wav(path) -> AudioClip:
     """
     raw = memoryview(Path(path).read_bytes())
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
+        raise PipelineError(f"{path}: not a RIFF/WAVE file")
 
     fmt_chunk = None
     data_chunk = None
@@ -77,7 +77,7 @@ def load_wav(path) -> AudioClip:
         (size,) = struct.unpack_from("<I", raw, offset + 4)
         payload = raw[offset + 8 : offset + 8 + size]
         if len(payload) < size:
-            raise CorruptHeaderError(f"{path}: truncated '{chunk_id.decode(errors='replace')}' chunk")
+            raise PipelineError(f"{path}: truncated '{chunk_id.decode(errors='replace')}' chunk")
         if chunk_id == b"fmt ":
             fmt_chunk = payload
         elif chunk_id == b"data":
@@ -85,21 +85,21 @@ def load_wav(path) -> AudioClip:
         offset += 8 + size + (size & 1)
 
     if fmt_chunk is None or len(fmt_chunk) < 16:
-        raise CorruptHeaderError(f"{path}: missing or short fmt chunk")
+        raise PipelineError(f"{path}: missing or short fmt chunk")
     if data_chunk is None:
-        raise CorruptHeaderError(f"{path}: missing data chunk")
+        raise PipelineError(f"{path}: missing data chunk")
 
     audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk, 0)
     if channels == 0 or sample_rate == 0:
-        raise CorruptHeaderError(f"{path}: zero channels or sample rate")
+        raise PipelineError(f"{path}: zero channels or sample rate")
     if channels > 2:
-        raise UnsupportedFormatError(f"{path}: {channels} channels (only mono/stereo supported)")
+        raise PipelineError(f"{path}: {channels} channels (only mono/stereo supported)")
     if audio_format == _PCM and bits == 16:
         dtype, scale = np.dtype("<i2"), 1.0 / 32768.0
     elif audio_format == _IEEE_FLOAT and bits == 32:
         dtype, scale = np.dtype("<f4"), 1.0
     else:
-        raise UnsupportedFormatError(
+        raise PipelineError(
             f"{path}: format code {audio_format} at {bits}-bit not supported "
             "(need PCM 16-bit or IEEE float 32-bit)"
         )
@@ -107,12 +107,12 @@ def load_wav(path) -> AudioClip:
     frame_bytes = channels * dtype.itemsize
     n_frames = len(data_chunk) // frame_bytes
     if n_frames == 0:
-        raise EmptyAudioError(f"{path}: data chunk holds no samples")
+        raise PipelineError(f"{path}: data chunk holds no samples")
     arr = np.frombuffer(data_chunk[: n_frames * frame_bytes], dtype=dtype).reshape(n_frames, channels)
     mono = arr.mean(axis=1, dtype=np.float64)
     mono *= scale
     if not np.all(np.isfinite(mono)):
-        raise CorruptHeaderError(f"{path}: non-finite samples in data chunk")
+        raise PipelineError(f"{path}: non-finite samples in data chunk")
     np.clip(mono, -1.0, 1.0, out=mono)
     return AudioClip(samples=mono, sample_rate=int(sample_rate))
 

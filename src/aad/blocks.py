@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CorruptModelFileError
+from .errors import PipelineError
 
 _DTYPES = {np.dtype(code).str.encode(): np.dtype(code) for code in ("<f8", "<f4", "<i8")}
 _ENTRY = struct.Struct("<B3sB")
@@ -49,15 +49,15 @@ def encode_blocks(blocks: dict, header: bytes = b"") -> bytes:
 
 
 def decode_blocks(payload, path, header: bytes = b"") -> dict[str, np.ndarray]:
-    """Read-only views of every block; any inconsistency is CorruptModelFileError."""
+    """Read-only views of every block; any inconsistency is a PipelineError."""
     view = memoryview(payload).cast("B")
     table = view[4:]
     if len(view) < 8 or struct.unpack_from("<I", view)[0] != zlib.crc32(table, zlib.crc32(header)):
-        raise CorruptModelFileError(f"{path}: checksum mismatch")
+        raise PipelineError(f"{path}: checksum mismatch")
 
     def take(offset: int, size: int) -> int:
         if offset + size > len(table):
-            raise CorruptModelFileError(f"{path}: truncated block table")
+            raise PipelineError(f"{path}: truncated block table")
         return offset + size
 
     (count,) = struct.unpack_from("<I", table)
@@ -71,15 +71,15 @@ def decode_blocks(payload, path, header: bytes = b"") -> dict[str, np.ndarray]:
         try:
             name = bytes(table[start + 8 * ndim : offset]).decode("ascii")
         except UnicodeDecodeError as exc:
-            raise CorruptModelFileError(f"{path}: block name is not ASCII") from exc
+            raise PipelineError(f"{path}: block name is not ASCII") from exc
         if code not in _DTYPES or name in blocks:
-            raise CorruptModelFileError(f"{path}: block {name!r} has an unknown dtype or repeats")
+            raise PipelineError(f"{path}: block {name!r} has an unknown dtype or repeats")
         dtype = _DTYPES[code]
         start = take(offset, -offset % 8)
         offset = take(start, math.prod(shape) * dtype.itemsize)
         blocks[name] = np.frombuffer(table, dtype=dtype, count=math.prod(shape), offset=start).reshape(shape)
     if offset != len(table):
-        raise CorruptModelFileError(f"{path}: {len(table) - offset} trailing bytes")
+        raise PipelineError(f"{path}: {len(table) - offset} trailing bytes")
     return blocks
 
 
@@ -87,7 +87,7 @@ def block(blocks: dict, name: str, path, dtype: str = "<f8", ndim: int | None = 
     """The named block, checked for presence, dtype and (optionally) ndim."""
     arr = blocks.get(name)
     if arr is None:
-        raise CorruptModelFileError(f"{path}: missing block {name!r}")
+        raise PipelineError(f"{path}: missing block {name!r}")
     if arr.dtype != np.dtype(dtype) or (ndim is not None and arr.ndim != ndim):
-        raise CorruptModelFileError(f"{path}: block {name!r} is {arr.dtype.str} {arr.shape}")
+        raise PipelineError(f"{path}: block {name!r} is {arr.dtype.str} {arr.shape}")
     return arr

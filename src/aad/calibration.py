@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, EmptyInputError
+from .errors import PipelineError
 from .metrics import confusion, precision_recall_f1
 
 DEFAULT_GRID = tuple(range(5, 100, 5))  # 5, 10, ..., 95
@@ -46,7 +46,7 @@ def percentile(values, p: float) -> float:
     """Linear-interpolation percentile: index p/100 * (n - 1) into sorted values."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
-        raise EmptyInputError("percentile of empty vector")
+        raise PipelineError("percentile of empty vector")
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile p={p} outside [0, 100]")
     s = np.sort(v)
@@ -63,7 +63,7 @@ def sweep_thresholds(scores) -> list[ThresholdCandidate]:
     """One candidate per DEFAULT_GRID percentile of the validation scores."""
     s = np.asarray(scores, dtype=float).ravel()
     if s.size == 0:
-        raise EmptyInputError("cannot sweep thresholds over empty scores")
+        raise PipelineError("cannot sweep thresholds over empty scores")
     return [
         ThresholdCandidate(percentile=float(p), threshold=percentile(s, float(p)))
         for p in DEFAULT_GRID
@@ -75,9 +75,9 @@ def select_by_f1(scores, labels, candidates) -> CalibrationResult:
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels, dtype=int).ravel()
     if not candidates:
-        raise EmptyInputError("no threshold candidates")
+        raise PipelineError("no threshold candidates")
     if np.all(y == y[0] if y.size else True) or y.size == 0:
-        raise DegenerateLabelsError("F1 selection needs both classes present")
+        raise PipelineError("F1 selection needs both classes present")
 
     rows = []
     for cand in sorted(candidates, key=lambda c: c.percentile):
@@ -97,5 +97,5 @@ def select_by_f1(scores, labels, candidates) -> CalibrationResult:
 def default_candidate(candidates) -> ThresholdCandidate:
     """Fallback when no labeled calibration split exists: highest grid percentile."""
     if not candidates:
-        raise EmptyInputError("no threshold candidates")
+        raise PipelineError("no threshold candidates")
     return max(candidates, key=lambda c: c.percentile)

@@ -30,7 +30,7 @@ from .audio_io import AudioClip, load_wav, save_wav
 from .calibration import default_candidate, select_by_f1, sweep_thresholds
 from .config import SPLITS, ManifestRecord, RunConfig, _text_lines, load_config, load_manifest, write_manifest
 from .detector_api import restore
-from .errors import IoFailureError, ManifestError, PipelineError
+from .errors import PipelineError
 from .kmeans import KMeansDetector
 from .lstm_ae import LstmAeDetector
 from .metrics import EvalReport, confusion, precision_recall_f1, roc_auc, timed
@@ -81,20 +81,20 @@ def _parse_float(path, lineno: int, text: str) -> float:
     except ValueError:
         value = np.nan
     if not np.isfinite(value):
-        raise IoFailureError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+        raise PipelineError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
     return value
 
 
 def _parse_label(path, lineno: int, text: str) -> int:
     value = _parse_float(path, lineno, text)
     if value not in (0.0, 1.0):
-        raise IoFailureError(f"{path}:{lineno}: a label is 0 or 1, got {text.strip()!r}")
+        raise PipelineError(f"{path}:{lineno}: a label is 0 or 1, got {text.strip()!r}")
     return int(value)
 
 
 def read_vector(path, parse=_parse_float) -> np.ndarray:
-    """One value per non-blank line; parse (a finite float by default) raises IoFailureError at file:line."""
-    lines = _text_lines(path, IoFailureError)
+    """One value per non-blank line; parse (a finite float by default) raises PipelineError at file:line."""
+    lines = _text_lines(path)
     return np.array([parse(path, n, line) for n, line in lines if line.strip()])
 
 
@@ -136,10 +136,10 @@ def write_calibration_report(path, mode: str, threshold: float, percentile: floa
 
 
 def read_calibration_threshold(path) -> float:
-    for n, line in _text_lines(path, IoFailureError):
+    for n, line in _text_lines(path):
         if line.startswith("threshold = "):
             return _parse_float(path, n, line.split("=", 1)[1])
-    raise IoFailureError(f"{path}: no threshold line")
+    raise PipelineError(f"{path}: no threshold line")
 
 
 # --- synth ----------------------------------------------------------------
@@ -393,13 +393,13 @@ def _split_records(records: list[ManifestRecord]) -> dict[str, list[ManifestReco
     stems = [rec.wav.stem for rec in records]
     shared = sorted({stem for stem in stems if stems.count(stem) > 1})
     if shared:
-        raise ManifestError(f"records share the file stem(s) {', '.join(shared)}; their archives would collide")
+        raise PipelineError(f"records share the file stem(s) {', '.join(shared)}; their archives would collide")
     by_split: dict[str, list[ManifestRecord]] = {}
     for rec in records:
         by_split.setdefault(rec.split, []).append(rec)
     for needed in ("train", "val", "test"):
         if needed not in by_split:
-            raise ManifestError(f"manifest has no {needed} records")
+            raise PipelineError(f"manifest has no {needed} records")
     return by_split
 
 
@@ -416,7 +416,7 @@ def _features_for(records: list[ManifestRecord], intervals: dict, out_dir: Path,
         tensors.append(frames)
         labels_list.append(labels if labels is not None else np.zeros(frames.num_frames, dtype=int))
     if len({(t.n_mels, t.frame_size, t.hop_size, t.sample_rate, t.hop_length) for t in tensors}) > 1:
-        raise ManifestError("records in one split disagree on feature geometry")
+        raise PipelineError("records in one split disagree on feature geometry")
     stacked = dataclasses.replace(tensors[0], parts=tuple(part for t in tensors for part in t.parts))
     labeled = any(rec.labels is not None for rec in records)
     return stacked, np.concatenate(labels_list) if labeled else None

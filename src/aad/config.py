@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ConfigError, ManifestError
+from .errors import PipelineError
 
 SPLITS = ("train", "val", "calib", "test")
 
@@ -52,14 +52,14 @@ class RunConfig:
         Path(path).write_text(text)
 
 
-def _text_lines(path, error_type) -> list[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file; undecodable bytes raise error_type at file:line."""
+def _text_lines(path) -> list[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file; undecodable bytes are a PipelineError at file:line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise error_type(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
+        raise PipelineError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
     return list(enumerate(text.splitlines(), start=1))
 
 
@@ -92,23 +92,23 @@ def load_config(path) -> RunConfig:
     """Parse a key = value config file; unknown or repeated keys and values their field's type rejects are errors."""
     hints = get_type_hints(RunConfig)
     values, key_lines = {}, {}
-    for lineno, line in _text_lines(path, ConfigError):
+    for lineno, line in _text_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise PipelineError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
         if key not in hints:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise PipelineError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in key_lines:
-            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}, first set on line {key_lines[key]}")
+            raise PipelineError(f"{path}:{lineno}: repeated config key {key!r}, first set on line {key_lines[key]}")
         key_lines[key] = lineno
         try:
             values[key] = _parse(value.strip(), hints[key])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise PipelineError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return RunConfig(**values)
 
 
@@ -128,25 +128,25 @@ def load_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
     base = path.parent
     records = []
-    for lineno, line in _text_lines(path, ManifestError):
+    for lineno, line in _text_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split("\t")
         if len(parts) not in (2, 3):
-            raise ManifestError(f"{path}:{lineno}: expected 'path<TAB>split[<TAB>labels]'")
+            raise PipelineError(f"{path}:{lineno}: expected 'path<TAB>split[<TAB>labels]'")
         wav = base / parts[0]
         split = parts[1].strip()
         labels = base / parts[2] if len(parts) == 3 and parts[2] else None
         if split not in SPLITS:
-            raise ManifestError(f"{path}:{lineno}: unknown split {split!r}")
+            raise PipelineError(f"{path}:{lineno}: unknown split {split!r}")
         if split in ("train", "val") and labels is not None:
-            raise ManifestError(f"{path}:{lineno}: {split} records are normal-only, no labels allowed")
+            raise PipelineError(f"{path}:{lineno}: {split} records are normal-only, no labels allowed")
         if split == "test" and labels is None:
-            raise ManifestError(f"{path}:{lineno}: test records need a labels file")
+            raise PipelineError(f"{path}:{lineno}: test records need a labels file")
         records.append(ManifestRecord(wav=wav, split=split, labels=labels))
     if not records:
-        raise ManifestError(f"{path}: empty manifest")
+        raise PipelineError(f"{path}: empty manifest")
     return records
 
 

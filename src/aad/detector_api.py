@@ -17,13 +17,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 from .blocks import block, decode_blocks, encode_blocks
-from .errors import (
-    CorruptModelFileError,
-    DimensionMismatchError,
-    NonFiniteScoresError,
-    StandardizerMissingError,
-    VersionMismatchError,
-)
+from .errors import NumericError, PipelineError
 from .features import FrameTensor
 
 MODEL_MAGIC = b"AADMODEL"
@@ -40,7 +34,7 @@ class AnomalyScoreSeries:
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
         if not np.all(np.isfinite(s)):
-            raise NonFiniteScoresError("scores must be finite")
+            raise NumericError("scores must be finite")
         object.__setattr__(self, "scores", s)
 
 
@@ -84,11 +78,11 @@ class Vectorizer:
 
     def transform(self, frames: FrameTensor) -> np.ndarray:
         if self.mean is None:
-            raise StandardizerMissingError("transform before fit: no stored statistics")
+            raise PipelineError("transform before fit: no stored statistics")
         check_dim(self.mean.size, frames.n_mels * frames.frame_size)
         shape = (frames.n_mels, frames.frame_size)
         if shape != self.frame_shape:
-            raise DimensionMismatchError(f"frame shape {shape} != model frame shape {self.frame_shape}")
+            raise PipelineError(f"frame shape {shape} != model frame shape {self.frame_shape}")
         return self._standardize(_frame_rows(frames))
 
     def _standardize(self, rows: np.ndarray) -> np.ndarray:
@@ -177,9 +171,9 @@ def _model_from_blocks(model_type, blocks: dict, path):
     """Rebuild a model dataclass, taking each field's block type from its annotation.
 
     Array fields must be in the model type's array_dtype: a block in any other
-    dtype (an LSTM-AE file with "<f8" parameters) is a CorruptModelFileError
+    dtype (an LSTM-AE file with "<f8" parameters) is a PipelineError
     naming the block, never cast. So are arrays whose shapes the model type
-    refuses (K-Means centroids that are not k rows).
+    refuses (K-Means centroids that are not k rows) and empty models (k = 0).
     """
     hints = get_type_hints(model_type)
     values = {}
@@ -199,8 +193,8 @@ def _model_from_blocks(model_type, blocks: dict, path):
             values[f.name] = hint(block(blocks, f.name, path, _SCALAR_DTYPES[hint], ndim=0))
     try:
         return model_type(**values)
-    except ValueError as exc:  # the model type's own shape rule: arrays that disagree
-        raise CorruptModelFileError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the model type's own rules: arrays that disagree, an empty model
+        raise PipelineError(f"{path}: {exc}") from exc
 
 
 def restore(path) -> Detector:
@@ -215,17 +209,17 @@ def restore(path) -> Detector:
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER_LEN or raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise CorruptModelFileError(f"{path}: not a model file")
+        raise PipelineError(f"{path}: not a model file")
     try:
         kind = raw[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 12].rstrip(b"\x00").decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CorruptModelFileError(f"{path}: kind tag is not ASCII") from exc
+        raise PipelineError(f"{path}: kind tag is not ASCII") from exc
     (version,) = struct.unpack_from("<I", raw, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
-        raise VersionMismatchError(f"{path}: model version {version}, supported {MODEL_VERSION}")
+        raise PipelineError(f"{path}: model version {version}, supported {MODEL_VERSION}")
     types = {cls.kind: cls for cls in Detector.__subclasses__()}
     if kind not in types:
-        raise CorruptModelFileError(f"{path}: unknown detector kind {kind!r}")
+        raise PipelineError(f"{path}: unknown detector kind {kind!r}")
     blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], path, raw[:_HEADER_LEN])
     detector = types[kind]()
     detector.model = _model_from_blocks(detector.model_type, blocks, path)
@@ -238,11 +232,11 @@ def restore(path) -> Detector:
         vectorizer.std = block(blocks, "std", path, ndim=1).copy()
         vectorizer.frame_shape = tuple(block(blocks, "frame_shape", path, "<i8", ndim=1).tolist())
         if vectorizer.std.shape != vectorizer.mean.shape or math.prod(vectorizer.frame_shape) != vectorizer.mean.size:
-            raise CorruptModelFileError(f"{path}: blocks 'mean' {vectorizer.mean.shape}, 'std' {vectorizer.std.shape} "
-                                        f"and 'frame_shape' {vectorizer.frame_shape} disagree")
+            raise PipelineError(f"{path}: blocks 'mean' {vectorizer.mean.shape}, 'std' {vectorizer.std.shape} "
+                                f"and 'frame_shape' {vectorizer.frame_shape} disagree")
     return detector
 
 
 def check_dim(expected: int, got: int) -> None:
     if expected != got:
-        raise DimensionMismatchError(f"feature dimension {got} != model dimension {expected}")
+        raise PipelineError(f"feature dimension {got} != model dimension {expected}")

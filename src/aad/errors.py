@@ -1,15 +1,16 @@
 """Exception and warning types shared across the pipeline.
 
-Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit codes (3 = data error, 4 = numeric failure) without
-inspecting types at each call site.
+A failure's type is its exit code: a ``PipelineError`` is a data error
+(exit 3) and a ``NumericError`` a numeric failure (exit 4), each carried as
+``exit_code`` so the CLI maps a failure without inspecting its type. The
+message says which check refused the input.
 """
 
 from __future__ import annotations
 
 
 class PipelineError(Exception):
-    """Base class for all pipeline errors."""
+    """Bad input data: a malformed file, a shape or value a stage refuses."""
 
     exit_code = 3
 
@@ -18,112 +19,6 @@ class NumericError(PipelineError):
     """Numeric failure (non-finite values, degenerate math)."""
 
     exit_code = 4
-
-
-# audio_io
-class UnsupportedFormatError(PipelineError):
-    pass
-
-
-class CorruptHeaderError(PipelineError):
-    pass
-
-
-class EmptyAudioError(PipelineError):
-    pass
-
-
-class ShapeMismatchError(PipelineError):
-    pass
-
-
-# features
-class SignalTooShortError(PipelineError):
-    pass
-
-
-class InvalidFftSizeError(PipelineError):
-    pass
-
-
-class InvalidBandRangeError(PipelineError):
-    pass
-
-
-class AllZeroSpectrogramError(NumericError):
-    pass
-
-
-class SpectrogramTooShortError(PipelineError):
-    pass
-
-
-class TooManyCoefficientsError(PipelineError):
-    pass
-
-
-# detector_api
-class StandardizerMissingError(PipelineError):
-    pass
-
-
-class VersionMismatchError(PipelineError):
-    pass
-
-
-class CorruptModelFileError(PipelineError):
-    pass
-
-
-class DimensionMismatchError(PipelineError):
-    pass
-
-
-class NonFiniteScoresError(NumericError):
-    pass
-
-
-# detectors
-class TooFewSamplesError(PipelineError):
-    pass
-
-
-class InfeasibleNuError(PipelineError):
-    pass
-
-
-# calibration / metrics
-class EmptyInputError(PipelineError):
-    pass
-
-
-class DegenerateLabelsError(PipelineError):
-    pass
-
-
-class LengthMismatchError(PipelineError):
-    pass
-
-
-class SingleClassInputError(PipelineError):
-    pass
-
-
-# synthgen / cli
-class ClipTooShortError(PipelineError):
-    pass
-
-
-class IoFailureError(PipelineError):
-    pass
-
-
-class ManifestError(PipelineError):
-    pass
-
-
-class ConfigError(PipelineError):
-    pass
 
 
 # Warnings: conditions the contracts define as recoverable.

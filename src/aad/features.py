@@ -25,16 +25,7 @@ import numpy as np
 from .audio_io import AudioClip, rms_normalize
 from .blocks import block, decode_blocks, encode_blocks
 from .calibration import percentile
-from .errors import (
-    AllZeroSpectrogramError,
-    CorruptModelFileError,
-    InvalidBandRangeError,
-    InvalidFftSizeError,
-    SignalTooShortError,
-    SpectrogramTooShortError,
-    TooManyCoefficientsError,
-    VersionMismatchError,
-)
+from .errors import NumericError, PipelineError
 
 DB_FLOOR = -80.0
 _STFT_BLOCK = 512  # STFT columns per block in clip_mel_db: 8.4 MB of temporaries at n_fft 1024
@@ -117,7 +108,7 @@ class FrameTensor:
             raise ValueError("parts must be one or more [n_mels x n_cols] matrices of equal n_mels")
         for p in parts:
             if p.shape[1] < self.frame_size:
-                raise SpectrogramTooShortError(f"{p.shape[1]} columns < frame_size {self.frame_size}")
+                raise PipelineError(f"{p.shape[1]} columns < frame_size {self.frame_size}")
             p.flags.writeable = False
         object.__setattr__(self, "parts", parts)
 
@@ -161,12 +152,12 @@ def stft(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> StftMatri
 def _analysis_windows(clip: AudioClip, n_fft: int, hop_length: int) -> np.ndarray:
     """Read-only view [n_cols x n_fft]: row n is samples [n*hop, n*hop + n_fft) of the clip."""
     if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise InvalidFftSizeError(f"n_fft must be a power of two >= 2, got {n_fft}")
+        raise PipelineError(f"n_fft must be a power of two >= 2, got {n_fft}")
     if hop_length < 1:
         raise ValueError("hop_length must be >= 1")
     x = clip.samples
     if x.size < n_fft:
-        raise SignalTooShortError(f"signal has {x.size} samples, need >= n_fft = {n_fft}")
+        raise PipelineError(f"signal has {x.size} samples, need >= n_fft = {n_fft}")
     return np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop_length]
 
 
@@ -200,9 +191,9 @@ def mel_filterbank(
     if fmax is None:
         fmax = sample_rate / 2.0
     if not (0.0 <= fmin < fmax <= sample_rate / 2.0):
-        raise InvalidBandRangeError(f"need 0 <= fmin < fmax <= sr/2, got [{fmin}, {fmax}]")
+        raise PipelineError(f"need 0 <= fmin < fmax <= sr/2, got [{fmin}, {fmax}]")
     if n_mels < 2:
-        raise InvalidBandRangeError(f"n_mels must be >= 2, got {n_mels}")
+        raise PipelineError(f"n_mels must be >= 2, got {n_mels}")
 
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
@@ -250,7 +241,7 @@ def power_to_db(mel: MelSpectrogram) -> MelSpectrogram:
         raise ValueError(f"power_to_db expects the power stage, got {mel.stage!r}")
     ref = float(np.max(mel.values))
     if ref <= 0.0:
-        raise AllZeroSpectrogramError("all spectrogram cells are zero")
+        raise NumericError("all spectrogram cells are zero")
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(mel.values / ref)
     db = np.maximum(db, DB_FLOOR)
@@ -287,7 +278,7 @@ def mfcc(mel_db: MelSpectrogram, n_mfcc: int = 13) -> np.ndarray:
         raise ValueError(f"mfcc expects the db stage, got {mel_db.stage!r}")
     n_mels = mel_db.values.shape[0]
     if n_mfcc > n_mels:
-        raise TooManyCoefficientsError(f"n_mfcc {n_mfcc} > n_mels {n_mels}")
+        raise PipelineError(f"n_mfcc {n_mfcc} > n_mels {n_mels}")
     k = np.arange(n_mfcc)[:, None]
     m = np.arange(n_mels)[None, :]
     basis = np.sqrt(2.0 / n_mels) * np.cos(np.pi * k * (2 * m + 1) / (2.0 * n_mels))
@@ -373,7 +364,7 @@ def _spectral_gate(mel_db: MelSpectrogram, percentile_p: float, margin_db: float
         raise ValueError(f"denoise_margin_db must be finite and >= 0, got {margin_db}")
     values = mel_db.values
     if values.shape[1] < 10:
-        raise SpectrogramTooShortError(f"need >= 10 spectrogram columns to estimate noise, got {values.shape[1]}")
+        raise PipelineError(f"need >= 10 spectrogram columns to estimate noise, got {values.shape[1]}")
     floor = np.array([percentile(row, percentile_p) for row in values])
     return replace(mel_db, values=np.where(values <= floor[:, None] + margin_db, DB_FLOOR, values))
 
@@ -402,18 +393,18 @@ def load_frames(path) -> FrameTensor:
     raw = Path(path).read_bytes()
     prefix = len(_FRAME_MAGIC) + 4
     if len(raw) < prefix or raw[: len(_FRAME_MAGIC)] != _FRAME_MAGIC:
-        raise CorruptModelFileError(f"{path}: not a frame archive")
+        raise PipelineError(f"{path}: not a frame archive")
     (version,) = struct.unpack_from("<I", raw, len(_FRAME_MAGIC))
     if version != _FRAME_VERSION:
-        raise VersionMismatchError(f"{path}: frame archive version {version} unsupported")
+        raise PipelineError(f"{path}: frame archive version {version} unsupported")
     blocks = decode_blocks(memoryview(raw)[prefix:], path, raw[:prefix])
     spectrogram = block(blocks, "spectrogram", path, "<f4", ndim=2)
     names = ("frame_size", "hop_size", "sample_rate", "hop_length")
     geometry = {k: int(block(blocks, k, path, "<i8", ndim=0)) for k in names}
     if min(geometry.values()) < 1:
-        raise CorruptModelFileError(f"{path}: frame geometry below 1: {geometry}")
+        raise PipelineError(f"{path}: frame geometry below 1: {geometry}")
     if spectrogram.shape[0] == 0 or spectrogram.shape[1] < geometry["frame_size"]:
-        raise CorruptModelFileError(f"{path}: spectrogram {spectrogram.shape} too small for one frame: {geometry}")
+        raise PipelineError(f"{path}: spectrogram {spectrogram.shape} too small for one frame: {geometry}")
     if not np.isfinite(spectrogram).all():
-        raise CorruptModelFileError(f"{path}: spectrogram has a non-finite cell")
+        raise PipelineError(f"{path}: spectrogram has a non-finite cell")
     return FrameTensor(parts=(spectrogram,), **geometry)

@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from .detector_api import AnomalyScoreSeries, Detector, _sq_distances, check_dim
-from .errors import DegenerateDataWarning, TooFewSamplesError
+from .errors import DegenerateDataWarning, PipelineError
 
 
 @dataclass
@@ -28,6 +28,8 @@ class KMeansModel:
     array_dtype: ClassVar[str] = "<f8"  # the array blocks' dtype in a model file
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"block 'k' is {self.k}, a model needs k >= 1")
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
             raise ValueError(f"block 'centroids' is {self.centroids.shape}, k = {self.k} needs [{self.k} x d]")
 
@@ -70,7 +72,7 @@ def kmeans_fit(X, k: int = 8, seed: int = 0) -> KMeansModel:
     rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if n < k:
-        raise TooFewSamplesError(f"{n} rows < k = {k}")
+        raise PipelineError(f"{n} rows < k = {k}")
 
     if k > 1 and np.all(rows == rows[0]):
         warnings.warn("all training rows identical; duplicating the unique point", DegenerateDataWarning)

@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .detector_api import AnomalyScoreSeries, Detector
-from .errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
+from .errors import NonFiniteLossWarning, PipelineError
 from .features import FrameTensor
 
 _PARAM_NAMES = ("enc_W", "enc_b", "dec_W", "dec_b", "proj_W", "proj_b")
@@ -55,6 +55,8 @@ class LstmAeModel:
 
     def __post_init__(self):
         h, m = self.hidden, self.input_dim
+        if h < 1 or m < 1:
+            raise ValueError(f"blocks 'hidden' = {h} and 'input_dim' = {m}, a model needs both >= 1")
         shapes = {"enc_W": (4 * h, m + h), "enc_b": (4 * h,), "dec_W": (4 * h, 2 * h),
                   "dec_b": (4 * h,), "proj_W": (m, h), "proj_b": (m,)}
         for name, shape in shapes.items():
@@ -211,9 +213,9 @@ def _model_batch(model: LstmAeModel, frames) -> np.ndarray:
     else:
         X = np.asarray(frames)
         if X.ndim != 3:
-            raise ShapeMismatchError(f"expected a 3-D batch, got shape {X.shape}")
+            raise PipelineError(f"expected a 3-D batch, got shape {X.shape}")
     if X.shape[2] != model.input_dim:
-        raise ShapeMismatchError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
+        raise PipelineError(f"input dim {X.shape[2]} != model input dim {model.input_dim}")
     return X
 
 
@@ -253,7 +255,7 @@ def lstm_ae_train(
     X = np.ascontiguousarray(_model_batch(model, frames))  # batches gather from contiguous rows
     n = X.shape[0]
     if n < 1:
-        raise TooFewSamplesError("need at least one training frame")
+        raise PipelineError("need at least one training frame")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     current = model.copy()

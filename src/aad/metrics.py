@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, LengthMismatchError, SingleClassInputError
+from .errors import PipelineError
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ class EvalReport:
 
 
 def _binary_labels(labels) -> np.ndarray:
-    """Labels as an int vector; any label other than 0 or 1 is a DegenerateLabelsError."""
+    """Labels as an int vector; any label other than 0 or 1 is a PipelineError."""
     y = np.asarray(labels).ravel()
     bad = y[(y != 0) & (y != 1)]
     if bad.size:
-        raise DegenerateLabelsError(f"labels must be 0 or 1, got {bad[0]}")
+        raise PipelineError(f"labels must be 0 or 1, got {bad[0]}")
     return y.astype(int)
 
 
@@ -52,11 +52,11 @@ def confusion(labels, predictions) -> ConfusionMatrix:
     y = _binary_labels(labels)
     p = np.asarray(predictions, dtype=int).ravel()
     if y.size != p.size:
-        raise LengthMismatchError(
+        raise PipelineError(
             f"labels ({y.size}) and predictions ({p.size}) differ in length"
         )
     if y.size == 0:
-        raise LengthMismatchError("empty label vector")
+        raise PipelineError("empty label vector")
     tp = int(np.sum((y == 1) & (p == 1)))
     fp = int(np.sum((y == 0) & (p == 1)))
     tn = int(np.sum((y == 0) & (p == 0)))
@@ -82,13 +82,13 @@ def roc_auc(labels, scores) -> float:
     y = _binary_labels(labels)
     s = np.asarray(scores, dtype=float).ravel()
     if y.size != s.size:
-        raise LengthMismatchError(
+        raise PipelineError(
             f"labels ({y.size}) and scores ({s.size}) differ in length"
         )
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassInputError("ROC AUC needs at least one positive and one negative")
+        raise PipelineError("ROC AUC needs at least one positive and one negative")
     ranks = _average_ranks(s)
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .detector_api import AnomalyScoreSeries, Detector, _sq_distances, check_dim
-from .errors import InfeasibleNuError, NonConvergenceWarning, TooFewSamplesError
+from .errors import NonConvergenceWarning, PipelineError
 
 
 @dataclass
@@ -40,6 +40,8 @@ class OcSvmModel:
         if self.support_vectors.ndim != 2 or self.alphas.shape != self.support_vectors.shape[:1]:
             raise ValueError(f"block 'alphas' is {self.alphas.shape}, 'support_vectors' "
                              f"{self.support_vectors.shape} needs one alpha per [n_sv x d] row")
+        if self.alphas.size == 0:
+            raise ValueError(f"block 'support_vectors' is {self.support_vectors.shape}, a model needs n_sv >= 1")
 
     @cached_property
     def sv_sq_norms(self) -> np.ndarray:
@@ -90,7 +92,7 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL) -> OcSvmMode
     rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if n < 1:
-        raise TooFewSamplesError("need at least one training row")
+        raise PipelineError("need at least one training row")
     _check_settings(nu=nu)
 
     g = resolve_gamma(gamma, rows)
@@ -100,7 +102,7 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL) -> OcSvmMode
             nu=nu, gamma=g, converged=True, kkt_violation=0.0, iterations=0,
         )
     if nu * n < 1.0:
-        raise InfeasibleNuError(f"nu * n = {nu * n:.6g} < 1: box constraint infeasible")
+        raise PipelineError(f"nu * n = {nu * n:.6g} < 1: box constraint infeasible")
 
     C = 1.0 / (nu * n)
     bound_eps = 1e-12 * C

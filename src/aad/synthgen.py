@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio_io import AudioClip
 from .config import _text_lines
-from .errors import ClipTooShortError, IoFailureError
+from .errors import PipelineError
 from .features import FrameTensor
 
 KNOCK_BAND = (2000.0, 6000.0)
@@ -168,7 +168,7 @@ def inject_knocks(
     """
     duration = clip.duration_s
     if rate_per_min * duration / 60.0 < 1.0:
-        raise ClipTooShortError(
+        raise PipelineError(
             f"{duration:.1f} s at {rate_per_min}/min yields < 1 expected knock"
         )
     rng = np.random.default_rng(seed)
@@ -222,7 +222,7 @@ def inject_transient(
     """
     total = clip.duration_s
     if total <= duration_s * 2:
-        raise ClipTooShortError(f"clip {total:.1f} s too short for a {duration_s:.1f} s transient")
+        raise PipelineError(f"clip {total:.1f} s too short for a {duration_s:.1f} s transient")
     rng = np.random.default_rng(seed)
     sr = clip.sample_rate
 
@@ -277,9 +277,9 @@ def write_intervals(path, intervals) -> None:
 
 
 def read_intervals(path) -> tuple[AnomalyInterval, ...]:
-    """Parse write_intervals output; a malformed line is an IoFailureError at file:line."""
+    """Parse write_intervals output; a malformed line is a PipelineError at file:line."""
     out = []
-    for lineno, line in _text_lines(path, IoFailureError):
+    for lineno, line in _text_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -287,7 +287,7 @@ def read_intervals(path) -> tuple[AnomalyInterval, ...]:
             start, end, kind = line.split("\t")
             out.append(AnomalyInterval(start_s=float(start), end_s=float(end), kind=kind))
         except ValueError as exc:
-            raise IoFailureError(
+            raise PipelineError(
                 f"{path}:{lineno}: expected 'start<TAB>end<TAB>kind', 0 <= start < end < inf: {exc}"
             ) from exc
     return tuple(out)

@@ -8,7 +8,7 @@ from aad.calibration import (
     select_by_f1,
     sweep_thresholds,
 )
-from aad.errors import DegenerateLabelsError, EmptyInputError
+from aad.errors import PipelineError
 from aad.metrics import confusion, precision_recall_f1
 
 
@@ -39,7 +39,7 @@ class TestPercentile:
             assert percentile(values, p) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PipelineError, match="percentile of empty vector"):
             percentile([], 50.0)
 
 
@@ -63,7 +63,7 @@ class TestSweepThresholds:
             assert thresholds == sorted(thresholds)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PipelineError, match="cannot sweep thresholds over empty scores"):
             sweep_thresholds([])
 
 
@@ -115,7 +115,7 @@ class TestSelectByF1:
         assert result.percentile == 10.0
 
     def test_degenerate_labels_raise(self):
-        with pytest.raises(DegenerateLabelsError):
+        with pytest.raises(PipelineError, match="F1 selection needs both classes present"):
             select_by_f1([1.0, 2.0], [1, 1], [ThresholdCandidate(50.0, 1.5)])
 
     def test_raising_threshold_never_increases_recall(self, rng):
@@ -133,5 +133,5 @@ class TestDefaultCandidate:
         assert default_candidate(cands).percentile == 95.0
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PipelineError, match="no threshold candidates"):
             default_candidate([])

@@ -12,7 +12,7 @@ from aad.calibration import DEFAULT_GRID
 from aad.cli import _MATRIX_BLOCK, DETECTORS, build_parser, main, read_calibration_threshold, read_vector, write_matrix
 from aad.config import RunConfig, load_config, load_manifest
 from aad.detector_api import restore
-from aad.errors import ManifestError
+from aad.errors import PipelineError
 from aad.features import load_frames
 
 from conftest import make_clip, random_frames, whole_mel_power, with_kind_tag, write_frame_archive
@@ -375,6 +375,34 @@ class TestCorruptInputs:
         blocks = decode_blocks(raw[_HEADER_LEN:], "model", header)
         blocks[name] = edit(blocks[name])
         model = tmp_path / "bad.model"
+        model.write_bytes(header + encode_blocks(blocks, header))
+        capsys.readouterr()
+        rc = main(["score", "--model", str(model),
+                   "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"error: score: {model}: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.scores").exists()
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("kmeans", lambda b: {"k": np.zeros_like(b["k"]), "centroids": b["centroids"][:0]}, "block 'k' is 0"),
+        ("ocsvm", lambda b: {"support_vectors": b["support_vectors"][:0], "alphas": b["alphas"][:0]},
+         "block 'support_vectors' is (0, "),
+        ("lstmae", lambda b: {"hidden": np.zeros_like(b["hidden"]), "enc_W": b["enc_W"][:0, :int(b["input_dim"])],
+                              "enc_b": b["enc_b"][:0], "dec_W": b["dec_W"][:0, :0], "dec_b": b["dec_b"][:0],
+                              "proj_W": b["proj_W"][:, :0]}, "blocks 'hidden' = 0 and 'input_dim' = "),
+    ], ids=["kmeans-k0", "ocsvm-no-support-vectors", "lstmae-hidden0"])
+    def test_empty_model_is_a_data_error(self, tiny_bench, tmp_path, capsys, kind, edit, message):
+        """An empty model whose blocks agree in shape, re-encoded under the real header, is never scored."""
+        from aad.blocks import decode_blocks, encode_blocks
+        from aad.detector_api import _HEADER_LEN
+
+        raw = (tiny_bench / f"{kind}.model").read_bytes()
+        header = raw[:_HEADER_LEN]
+        blocks = decode_blocks(raw[_HEADER_LEN:], "model", header)
+        blocks.update(edit(blocks))
+        model = tmp_path / "empty.model"
         model.write_bytes(header + encode_blocks(blocks, header))
         capsys.readouterr()
         rc = main(["score", "--model", str(model),
@@ -899,9 +927,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("warp_speed = 9\n")
-        from aad.errors import ConfigError
-
-        with pytest.raises(ConfigError):
+        with pytest.raises(PipelineError, match="unknown config key 'warp_speed'"):
             load_config(bad)
 
     @pytest.mark.parametrize("key", ["kmeans_max_iter", "kmeans_tol", "ocsvm_tol", "ocsvm_max_passes"])
@@ -923,12 +949,10 @@ class TestConfig:
     @pytest.mark.parametrize("line", ["kmeans_k = true", "lstm_epochs = false", "n_fft = none", "fmax = scale",
                                       "ocsvm_gamma = none", "denoise = 2", "fmax ="])
     def test_value_outside_the_declared_type_is_a_data_error(self, tmp_path, line):
-        from aad.errors import ConfigError
-
         path = tmp_path / "bad.cfg"
         path.write_text(f"seed = 3\n{line}\n")
         key = line.split("=")[0].strip()
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad value for {key}: "):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}:2: bad value for {key}: "):
             load_config(path)
 
     def test_repeated_key_is_a_data_error(self, tmp_path, capsys):
@@ -1003,19 +1027,19 @@ class TestManifest:
     def test_train_with_labels_rejected(self, tmp_path):
         bad = tmp_path / "m.tsv"
         bad.write_text("a.wav\ttrain\ta.labels\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(PipelineError, match="train records are normal-only, no labels allowed"):
             load_manifest(bad)
 
     def test_test_without_labels_rejected(self, tmp_path):
         bad = tmp_path / "m.tsv"
         bad.write_text("a.wav\ttest\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(PipelineError, match="test records need a labels file"):
             load_manifest(bad)
 
     def test_unknown_split_rejected(self, tmp_path):
         bad = tmp_path / "m.tsv"
         bad.write_text("a.wav\tholdout\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(PipelineError, match="unknown split 'holdout'"):
             load_manifest(bad)
 
     def test_manifest_error_exit_code(self, tmp_path, capsys):

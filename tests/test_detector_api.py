@@ -12,7 +12,7 @@ from aad.audio_io import load_wav
 from aad.cli import main
 from aad.config import load_config, load_manifest
 from aad.detector_api import MODEL_VERSION, Vectorizer, _sq_distances, persist, restore
-from aad.errors import CorruptModelFileError, PipelineError, StandardizerMissingError, VersionMismatchError
+from aad.errors import PipelineError
 from aad.features import load_frames, save_frames
 from aad.kmeans import KMeansDetector
 from aad.lstm_ae import LstmAeDetector
@@ -57,7 +57,7 @@ class TestVectorizer:
         assert np.all(vec.transform(other)[:, 0] == 0.0)
 
     def test_transform_before_fit_raises(self):
-        with pytest.raises(StandardizerMissingError):
+        with pytest.raises(PipelineError, match="transform before fit: no stored statistics"):
             Vectorizer().transform(random_frames())
 
     def test_transform_reuses_fitted_stats(self):
@@ -166,7 +166,7 @@ class TestPersistence:
         det.persist(path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 16])
-        with pytest.raises(CorruptModelFileError):
+        with pytest.raises(PipelineError, match="checksum mismatch"):
             restore(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
@@ -175,7 +175,7 @@ class TestPersistence:
         path = tmp_path / "m.model"
         det.persist(path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CorruptModelFileError):
+        with pytest.raises(PipelineError, match="checksum mismatch"):
             restore(path)
 
     @pytest.mark.parametrize("version", [1, 200])
@@ -187,13 +187,13 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         data[8] = version  # low byte of the little-endian version word
         path.write_bytes(bytes(data))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(PipelineError, match=f"model version {version}, supported "):
             restore(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
-        with pytest.raises(CorruptModelFileError):
+        with pytest.raises(PipelineError, match="not a model file"):
             restore(path)
 
     def test_non_ascii_kind_tag_rejected(self, tmp_path):
@@ -203,7 +203,7 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         data[12] ^= 0xFF  # first byte of the kind tag
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptModelFileError, match="kind tag"):
+        with pytest.raises(PipelineError, match="kind tag"):
             restore(path)
 
     def test_kind_tags(self, tmp_path):
@@ -298,7 +298,7 @@ class TestDetectorContract:
         path = tmp_path / "m.model"
         KMeansDetector(k=2, seed=0).fit(train).persist(path)
         path.write_bytes(with_kind_tag(path.read_bytes(), b"pca"))
-        with pytest.raises(CorruptModelFileError, match="unknown detector kind 'pca'"):
+        with pytest.raises(PipelineError, match="unknown detector kind 'pca'"):
             restore(path)
 
 

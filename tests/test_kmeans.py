@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aad.detector_api import _sq_distances
-from aad.errors import DegenerateDataWarning, DimensionMismatchError, TooFewSamplesError
+from aad.errors import DegenerateDataWarning, PipelineError
 from aad.kmeans import _MAX_ITER, _TOL, KMeansDetector, kmeans_fit, kmeans_pp_init, kmeans_score
 
 from conftest import random_frames
@@ -131,7 +131,7 @@ class TestFit:
         assert a.seed == 1 and b.seed == 2
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamplesError):
+        with pytest.raises(PipelineError, match="2 rows < k = 5"):
             kmeans_fit(np.ones((2, 3)), k=5)
 
     @pytest.mark.parametrize("k", [0, -2])
@@ -192,7 +192,7 @@ class TestScore:
 
     def test_dimension_mismatch(self):
         model = kmeans_fit(np.zeros((4, 3)) + np.arange(4)[:, None], k=2, seed=0)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PipelineError, match="feature dimension 5 != model dimension 3"):
             kmeans_score(model, np.zeros((2, 5)))
 
 

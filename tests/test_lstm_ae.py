@@ -11,7 +11,7 @@ from aad import lstm_ae
 from aad.blocks import decode_blocks, encode_blocks
 from aad.cli import main
 from aad.detector_api import _HEADER_LEN, restore
-from aad.errors import NonFiniteLossWarning, ShapeMismatchError, TooFewSamplesError
+from aad.errors import NonFiniteLossWarning, PipelineError
 from aad.lstm_ae import (
     _PARAM_NAMES,
     LstmAeDetector,
@@ -232,7 +232,7 @@ class TestForward:
 
     def test_shape_mismatch(self):
         model = lstm_ae_init(6, 4, seed=0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(PipelineError, match="input dim 7 != model input dim 6"):
             lstm_ae_forward(model, np.zeros((2, 5, 7)))
 
 
@@ -331,7 +331,7 @@ class TestTrain:
         assert trained.loss_history[0] == pytest.approx(float(np.mean(lstm_ae_forward(model, X).mse)), abs=1e-15)
 
     def test_zero_frames_rejected(self):
-        with pytest.raises(TooFewSamplesError):
+        with pytest.raises(PipelineError, match="need at least one training frame"):
             lstm_ae_train(lstm_ae_init(6, 4, seed=1), np.zeros((0, 5, 6)), epochs=1)
 
     def test_training_does_not_mutate_input_model(self, rng):

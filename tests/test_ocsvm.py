@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aad import ocsvm
-from aad.errors import DimensionMismatchError, InfeasibleNuError, NonConvergenceWarning
+from aad.errors import NonConvergenceWarning, PipelineError
 from aad.ocsvm import OcSvmDetector, ocsvm_decision, ocsvm_fit, ocsvm_score, rbf_kernel_block, resolve_gamma
 
 from conftest import random_frames
@@ -99,7 +99,7 @@ class TestFit:
             resolve_gamma(gamma, rng.standard_normal((10, 3)))
 
     def test_infeasible_nu(self):
-        with pytest.raises(InfeasibleNuError):
+        with pytest.raises(PipelineError, match=r"nu \* n = 0.5 < 1: box constraint infeasible"):
             ocsvm_fit(np.random.default_rng(0).standard_normal((5, 2)), nu=0.1)
 
     def test_nonconvergence_warns_and_records_violation(self, monkeypatch):
@@ -162,7 +162,7 @@ class TestScore:
 
     def test_dimension_mismatch(self):
         model = ocsvm_fit(np.random.default_rng(0).standard_normal((30, 2)), nu=0.2)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PipelineError, match="feature dimension 4 != model dimension 2"):
             ocsvm_score(model, np.zeros((3, 4)))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aad import synthgen
-from aad.errors import ClipTooShortError
+from aad.errors import PipelineError
 from aad.features import fft_amplitude_spectrum
 from aad.synthgen import (
     LOWPASS_CUTOFF_HZ,
@@ -230,7 +230,7 @@ class TestInjectKnocks:
 
     def test_too_short_clip(self):
         base = gen_normal(2.0, seed=15)
-        with pytest.raises(ClipTooShortError):
+        with pytest.raises(PipelineError, match="2.0 s at 10.0/min yields < 1 expected knock"):
             inject_knocks(base, rate_per_min=10.0, seed=0)
 
 
@@ -263,7 +263,7 @@ class TestInjectTransient:
         assert inside > 4.0 * outside
 
     def test_too_short(self):
-        with pytest.raises(ClipTooShortError):
+        with pytest.raises(PipelineError, match="clip 8.0 s too short for a 5.0 s transient"):
             inject_transient(gen_normal(8.0, seed=0), duration_s=5.0, seed=0)
 
 
