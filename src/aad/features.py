@@ -308,6 +308,8 @@ def default_framing(
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     frame_size = _round_half_up(time_per_frame * sample_rate / hop_length, "time_per_frame")
+    if frame_size < 1:
+        raise ValueError(f"time_per_frame {time_per_frame} s rounds to 0 columns of hop_length {hop_length}; a frame needs 1")
     hop_size = max(1, _round_half_up(hop_ratio * frame_size, "hop_ratio"))
     return frame_size, hop_size
 

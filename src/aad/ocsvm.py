@@ -5,9 +5,11 @@ Solves the nu-parameterized dual
     minimize    1/2 sum_ij alpha_i alpha_j k(x_i, x_j)
     subject to  0 <= alpha_i <= 1/(nu * n),  sum_i alpha_i = 1
 
-by pairwise updates on the maximal-KKT-violating pair. The decision offset
-rho is the mean of g(x_i) = sum_j alpha_j k(x_j, x_i) over margin support
-vectors; the anomaly score is rho - g(x), positive outside the boundary.
+by pairwise updates on the maximal-KKT-violating pair; any n >= 1 fits. Below
+nu * n = 1 the box 1/(nu * n) exceeds 1, which no alpha reaches, so every support
+vector is free and the nu-property holds trivially. The decision offset rho is the
+mean of g(x_i) = sum_j alpha_j k(x_j, x_i) over margin support vectors; the
+anomaly score is rho - g(x), positive outside the boundary.
 """
 
 from __future__ import annotations
@@ -96,16 +98,8 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL) -> OcSvmMode
     _check_settings(nu=nu)
 
     g = resolve_gamma(gamma, rows)
-    if n == 1:
-        return OcSvmModel(
-            support_vectors=rows.copy(), alphas=np.array([1.0]), rho=1.0,
-            nu=nu, gamma=g, converged=True, kkt_violation=0.0, iterations=0,
-        )
-    if nu * n < 1.0:
-        raise PipelineError(f"nu * n = {nu * n:.6g} < 1: box constraint infeasible")
-
     C = 1.0 / (nu * n)
-    bound_eps = 1e-12 * C
+    bound_eps = 1e-12 * min(C, 1.0)  # no alpha exceeds 1, so C > 1 must not widen the tolerance
 
     alpha = np.zeros(n)
     n_full = int(np.floor(nu * n))
@@ -170,9 +164,8 @@ def ocsvm_fit(X, nu: float = 0.1, gamma="scale", tol: float = _TOL) -> OcSvmMode
         rho = float(grad[margin].mean())
     else:
         # no free SVs: rho sits between the bound groups' g values
-        at_upper = grad[sv_mask]
+        hi = float(grad[sv_mask].max())  # sum(alpha) = 1 keeps sv_mask non-empty
         at_lower = grad[alpha < C - bound_eps]
-        hi = float(at_upper.max()) if at_upper.size else float(grad.max())
         lo = float(at_lower.min()) if at_lower.size else hi
         rho = 0.5 * (hi + lo)
 

@@ -74,9 +74,16 @@ def write_frame_archive(path, tensor, tail=b"", edit=None, **overrides):
     Path(path).write_bytes(header + struct.pack("<I", crc) + table)
 
 
-def with_kind_tag(model_bytes: bytes, kind: bytes) -> bytes:
-    """A model file's bytes under another kind tag, the block checksum redone for the new header."""
+def forge_model(model_bytes, edit=None, kind: bytes | None = None) -> bytes:
+    """A model file's bytes with its blocks re-encoded, the block checksum redone.
+
+    edit, if given, changes the decoded {name: array} dict in place; kind, if
+    given, replaces the header's kind tag, otherwise the file keeps its header.
+    """
     header = model_bytes[:_HEADER_LEN]
     blocks = decode_blocks(model_bytes[_HEADER_LEN:], "model", header)
-    header = header[:12] + kind.ljust(8, b"\x00") + header[20:]
+    if edit is not None:
+        edit(blocks)
+    if kind is not None:
+        header = header[:12] + kind.ljust(8, b"\x00") + header[20:]
     return header + encode_blocks(blocks, header)

@@ -15,7 +15,7 @@ from aad.detector_api import restore
 from aad.errors import PipelineError
 from aad.features import load_frames
 
-from conftest import make_clip, random_frames, whole_mel_power, with_kind_tag, write_frame_archive
+from conftest import forge_model, make_clip, random_frames, whole_mel_power, write_frame_archive
 
 pytestmark = pytest.mark.cli
 
@@ -340,14 +340,8 @@ class TestCorruptInputs:
         assert capsys.readouterr().err.startswith(f"error: score: {message}")
 
     def test_model_without_frame_shape_is_a_data_error(self, tiny_bench, tmp_path, capsys):
-        from aad.blocks import decode_blocks, encode_blocks
-        from aad.detector_api import _HEADER_LEN
-
         raw = (tiny_bench / "kmeans.model").read_bytes()
-        header = raw[:_HEADER_LEN]
-        blocks = decode_blocks(raw[_HEADER_LEN:], "kmeans.model", header)
-        del blocks["frame_shape"]
-        (tmp_path / "old.model").write_bytes(header + encode_blocks(blocks, header))
+        (tmp_path / "old.model").write_bytes(forge_model(raw, lambda blocks: blocks.pop("frame_shape")))
         capsys.readouterr()
         rc = main(["score", "--model", str(tmp_path / "old.model"),
                    "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
@@ -367,15 +361,9 @@ class TestCorruptInputs:
             "kmeans-short-std", "ocsvm-frame_shape"])
     def test_mis_shaped_model_block_is_a_data_error(self, tiny_bench, tmp_path, capsys, kind, name, edit, message):
         """Blocks of the right dtype whose shapes disagree, re-encoded under the real header."""
-        from aad.blocks import decode_blocks, encode_blocks
-        from aad.detector_api import _HEADER_LEN
-
-        raw = (tiny_bench / f"{kind}.model").read_bytes()
-        header = raw[:_HEADER_LEN]
-        blocks = decode_blocks(raw[_HEADER_LEN:], "model", header)
-        blocks[name] = edit(blocks[name])
         model = tmp_path / "bad.model"
-        model.write_bytes(header + encode_blocks(blocks, header))
+        model.write_bytes(forge_model((tiny_bench / f"{kind}.model").read_bytes(),
+                                      lambda blocks: blocks.update({name: edit(blocks[name])})))
         capsys.readouterr()
         rc = main(["score", "--model", str(model),
                    "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
@@ -395,15 +383,9 @@ class TestCorruptInputs:
     ], ids=["kmeans-k0", "ocsvm-no-support-vectors", "lstmae-hidden0"])
     def test_empty_model_is_a_data_error(self, tiny_bench, tmp_path, capsys, kind, edit, message):
         """An empty model whose blocks agree in shape, re-encoded under the real header, is never scored."""
-        from aad.blocks import decode_blocks, encode_blocks
-        from aad.detector_api import _HEADER_LEN
-
-        raw = (tiny_bench / f"{kind}.model").read_bytes()
-        header = raw[:_HEADER_LEN]
-        blocks = decode_blocks(raw[_HEADER_LEN:], "model", header)
-        blocks.update(edit(blocks))
         model = tmp_path / "empty.model"
-        model.write_bytes(header + encode_blocks(blocks, header))
+        model.write_bytes(forge_model((tiny_bench / f"{kind}.model").read_bytes(),
+                                      lambda blocks: blocks.update(edit(blocks))))
         capsys.readouterr()
         rc = main(["score", "--model", str(model),
                    "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
@@ -415,7 +397,7 @@ class TestCorruptInputs:
 
     def test_unknown_detector_kind_is_a_data_error(self, tiny_bench, tmp_path, capsys):
         model = tmp_path / "pca.model"
-        model.write_bytes(with_kind_tag((tiny_bench / "kmeans.model").read_bytes(), b"pca"))
+        model.write_bytes(forge_model((tiny_bench / "kmeans.model").read_bytes(), kind=b"pca"))
         capsys.readouterr()
         rc = main(["score", "--model", str(model),
                    "--frames", str(tiny_bench / "test.frames"), "--out", str(tmp_path / "s.scores")])
@@ -656,6 +638,18 @@ class TestDetectorSettings:
         assert "Traceback" not in err
         assert not (tmp_path / "m.model").exists()
 
+    def test_five_frames_train_an_ocsvm_but_not_kmeans(self, tmp_path, capsys):
+        """nu * n = 0.5 < 1 fits, as in LIBSVM; K-Means still needs k rows, as in scikit-learn."""
+        frames = tmp_path / "five.frames"
+        write_frame_archive(frames, random_frames(num_frames=5))
+        assert main(["train", "--frames", str(frames), "--detector", "ocsvm", "--out", str(tmp_path / "o.model")]) == 0
+        assert restore(tmp_path / "o.model").model.alphas.sum() == pytest.approx(1.0)
+        capsys.readouterr()
+        rc = main(["train", "--frames", str(frames), "--detector", "kmeans", "--out", str(tmp_path / "k.model")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: train: 5 rows < k = 8\n"
+        assert not (tmp_path / "k.model").exists()
+
 
 class TestStageTags:
     def test_train_tags_a_usage_error(self, tmp_path, capsys):
@@ -701,6 +695,21 @@ class TestFramingSettings:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "val.frames").exists()
+
+    @pytest.mark.parametrize("setting", ["time_per_frame = 0.01", "hop_length = 100000"])
+    def test_zero_column_frame_is_a_usage_error(self, tiny_dataset, tmp_path, capsys, setting):
+        """A frame that rounds to 0 spectrogram columns names its settings, and synth writes no dataset."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{setting}\n")
+        for command, source in [("synth", ["--normal-s", "24", "--anomalous-s", "40"]),
+                                ("features", ["--wav", str(tiny_dataset / "val.wav")])]:
+            out = tmp_path / command
+            capsys.readouterr()
+            assert main([command, *source, "--config", str(config), "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {command}: time_per_frame ") and "hop_length" in err, err
+            assert "Traceback" not in err
+            assert not out.exists(), command
 
 
 class TestNonFiniteSettings:

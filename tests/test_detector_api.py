@@ -19,7 +19,7 @@ from aad.lstm_ae import LstmAeDetector
 from aad.ocsvm import OcSvmDetector
 from aad.synthgen import read_intervals
 
-from conftest import random_frames, with_kind_tag
+from conftest import forge_model, random_frames
 
 
 class TestVectorizer:
@@ -297,7 +297,7 @@ class TestDetectorContract:
         train = random_frames(num_frames=20, n_mels=4, frame_size=3, seed=18)
         path = tmp_path / "m.model"
         KMeansDetector(k=2, seed=0).fit(train).persist(path)
-        path.write_bytes(with_kind_tag(path.read_bytes(), b"pca"))
+        path.write_bytes(forge_model(path.read_bytes(), kind=b"pca"))
         with pytest.raises(PipelineError, match="unknown detector kind 'pca'"):
             restore(path)
 

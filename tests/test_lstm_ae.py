@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aad import lstm_ae
-from aad.blocks import decode_blocks, encode_blocks
+from aad.blocks import decode_blocks
 from aad.cli import main
 from aad.detector_api import _HEADER_LEN, restore
 from aad.errors import NonFiniteLossWarning, PipelineError
@@ -23,7 +23,7 @@ from aad.lstm_ae import (
     lstm_ae_train,
 )
 
-from conftest import random_frames, write_frame_archive
+from conftest import forge_model, random_frames, write_frame_archive
 
 
 def scalar_lstm_cell(W, b, x, h_prev, c_prev, hidden):
@@ -471,10 +471,8 @@ class TestFloat32:
         """A model file written with float64 parameters is refused, not cast."""
         fitted.persist(tmp_path / "new.model")
         raw = (tmp_path / "new.model").read_bytes()
-        header = raw[:_HEADER_LEN]
-        blocks = decode_blocks(memoryview(raw)[_HEADER_LEN:], "new.model", header)
-        blocks = {name: arr.astype(np.float64) if name in _PARAM_NAMES else arr for name, arr in blocks.items()}
-        (tmp_path / "old.model").write_bytes(header + encode_blocks(blocks, header))
+        (tmp_path / "old.model").write_bytes(forge_model(
+            raw, lambda blocks: blocks.update({name: blocks[name].astype(np.float64) for name in _PARAM_NAMES})))
         frames = tmp_path / "probe.frames"
         write_frame_archive(frames, random_frames(num_frames=6, n_mels=8, frame_size=5, seed=4))
         capsys.readouterr()

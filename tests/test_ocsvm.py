@@ -98,9 +98,32 @@ class TestFit:
         with pytest.raises(ValueError, match=r"gamma must be finite and positive, got (nan|inf)"):
             resolve_gamma(gamma, rng.standard_normal((10, 3)))
 
-    def test_infeasible_nu(self):
-        with pytest.raises(PipelineError, match=r"nu \* n = 0.5 < 1: box constraint infeasible"):
-            ocsvm_fit(np.random.default_rng(0).standard_normal((5, 2)), nu=0.1)
+    def test_nu_times_n_below_one_fits(self):
+        """nu * n = 0.5: the box C = 2 is out of reach, so the fit is the hard-margin one."""
+        rows = np.random.default_rng(0).standard_normal((5, 2))
+        model = ocsvm_fit(rows, nu=0.1)
+        assert model.alphas.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(model.alphas < 1.0 / (0.1 * 5))
+        assert model.converged
+        assert ocsvm_score(model, rows).scores.max() <= ocsvm._TOL
+
+    def test_tiny_nu_keeps_every_support_vector(self):
+        """Below nu * n = 1 the model does not depend on nu, however small."""
+        rows = np.random.default_rng(0).standard_normal((50, 3))
+        ref = ocsvm_fit(rows, nu=0.01)
+        for nu in (1e-12, 1e-200):
+            model = ocsvm_fit(rows, nu=nu)
+            assert np.array_equal(model.support_vectors, ref.support_vectors), nu
+            assert np.array_equal(model.alphas, ref.alphas), nu
+
+    def test_one_row_takes_the_smo_path(self):
+        x = np.array([[1.5, -2.0, 3.0]])
+        for nu in (0.05, 0.1, 0.5, 1.0):
+            model = ocsvm_fit(x, nu=nu)
+            assert np.array_equal(model.support_vectors, x) and np.array_equal(model.alphas, [1.0]), nu
+            assert (model.rho, model.nu, model.gamma) == (1.0, nu, resolve_gamma("scale", x)), nu
+            assert (model.converged, model.kkt_violation, model.iterations) == (True, 0.0, 0), nu
+            assert model.extra == {"objective": 0.5}, nu
 
     def test_nonconvergence_warns_and_records_violation(self, monkeypatch):
         rows = np.random.default_rng(1).standard_normal((100, 2))
